@@ -16,6 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -75,15 +76,32 @@ inline void set_pref_backend(const char* label) {
   pref_backend_label() = label;
 }
 
+/// The CPU model string from /proc/cpuinfo ("unknown" elsewhere), stamped
+/// into the JSON context so a committed baseline names the machine its
+/// timings came from.
+inline std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        return line.substr(colon + 2);
+      }
+    }
+  }
+  return "unknown";
+}
+
 /// Adds every registered instrument as a "kstable.<name>" context entry
 /// (counters/gauges as the value, histograms as "sum/count"), plus the
-/// build type, CPU count, and preference backend any timing comparison
-/// needs for context.
+/// build type, CPU model and count, and preference backend any timing
+/// comparison needs for context.
 inline void attach_metrics_context() {
   benchmark::AddCustomContext("kstable.build_type", build_type());
   benchmark::AddCustomContext("kstable.pref_backend", pref_backend_label());
   benchmark::AddCustomContext(
       "kstable.cpu_count", std::to_string(std::thread::hardware_concurrency()));
+  benchmark::AddCustomContext("kstable.cpu_model", cpu_model());
   for (const auto& s : kstable::obs::MetricsRegistry::global().snapshot()) {
     std::ostringstream value;
     if (s.kind == kstable::obs::MetricsRegistry::Sample::Kind::histogram) {

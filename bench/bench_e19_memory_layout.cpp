@@ -1,5 +1,5 @@
 // E19 — large-n memory layout: compact rank tables, arena storage, and the
-// prefetch/SIMD scan engine (docs/PERFORMANCE.md §Compact memory layout).
+// SIMD scan kernels (docs/PERFORMANCE.md §Compact memory layout).
 //
 // Claims regenerated:
 //  * the compact layout (no same-gender diagonal rows + width-adaptive
@@ -7,11 +7,12 @@
 //    8/3 ≈ 2.67× for bipartite instances vs the seed layout
 //    (k·k rows × 4-byte ranks);
 //  * narrow16 and wide32 rank layouts are bitwise-identical in outcomes
-//    (matching AND proposal count) across the queue and prefetch engines —
+//    (matching AND proposal count) across the queue and rounds engines —
 //    the self-check line below is grepped by CI;
-//  * the prefetch engine (software-prefetch pipeline over the proposal
-//    stream) beats the scalar queue path once the rank table outgrows the
-//    LLC, and 16-bit ranks beat 32-bit by halving the random-read footprint;
+//  * the rounds schedule beats the queue schedule on the same instance
+//    (proposals within a round are independent, so their cache misses
+//    overlap), and 16-bit ranks beat 32-bit by halving the random-read
+//    footprint;
 //  * the vectorized row-scan kernels (gs/simd.hpp) give the streaming
 //    bandwidth ceiling that contextualizes the random-access numbers.
 //
@@ -57,7 +58,7 @@ std::int64_t bytes_per_proposal(const KPartiteInstance& inst) {
 void report() {
   const Index max_n = e19_max_n();
   std::cout << "E19: large-n memory layout — compact ranks, arena storage, "
-               "prefetch engine\n"
+               "queue vs rounds schedules\n"
             << "(max n = " << max_n
             << "; extend with KSTABLE_E19_MAX_N; SIMD dispatch: "
             << gs::simd::to_string(gs::simd::best_isa()) << ")\n\n";
@@ -67,7 +68,7 @@ void report() {
       {"n", "seed bytes", "compact bytes", "shrink", "arena bytes", "width"});
   TableWriter timing(
       "GS wall clock and bytes/proposal (k=2, uniform, seed 191)",
-      {"n", "queue ms", "prefetch16 ms", "prefetch32 ms", "B/proposal 16",
+      {"n", "queue ms", "rounds16 ms", "rounds32 ms", "B/proposal 16",
        "B/proposal 32"});
   bool all_identical = true;
   Rng rng(191);
@@ -84,16 +85,17 @@ void report() {
          std::string(prefs::to_string(narrow.rank_width()))});
 
     const auto queue = gs::gale_shapley_queue(narrow, 0, 1);
-    const auto pre16 = gs::gale_shapley_prefetch(narrow, 0, 1);
-    const auto pre32 = gs::gale_shapley_prefetch(wide, 0, 1);
+    const auto rounds16 = gs::gale_shapley_rounds(narrow, 0, 1);
+    const auto rounds32 = gs::gale_shapley_rounds(wide, 0, 1);
     all_identical = all_identical &&
-                    pre16.proposer_match == queue.proposer_match &&
-                    pre16.responder_match == queue.responder_match &&
-                    pre16.proposals == queue.proposals &&
-                    pre32.proposer_match == queue.proposer_match &&
-                    pre32.proposals == queue.proposals;
-    timing.add_row({std::int64_t{n}, queue.wall_ms, pre16.wall_ms,
-                    pre32.wall_ms, bytes_per_proposal(narrow),
+                    rounds16.proposer_match == queue.proposer_match &&
+                    rounds16.responder_match == queue.responder_match &&
+                    rounds16.proposals == queue.proposals &&
+                    rounds32.proposer_match == queue.proposer_match &&
+                    rounds32.proposals == queue.proposals &&
+                    rounds32.rounds == rounds16.rounds;
+    timing.add_row({std::int64_t{n}, queue.wall_ms, rounds16.wall_ms,
+                    rounds32.wall_ms, bytes_per_proposal(narrow),
                     bytes_per_proposal(wide)});
   }
   footprint.print(std::cout);
@@ -143,21 +145,21 @@ void bm_gs_queue_wide(benchmark::State& state) {
   });
 }
 
-void bm_gs_prefetch_narrow(benchmark::State& state) {
+void bm_gs_rounds_narrow(benchmark::State& state) {
   Rng rng(193);
   const auto inst = gen::uniform(2, static_cast<Index>(state.range(0)), rng);
   run_warm(state, inst, [](const auto& in, auto& w, auto& r) {
-    gs::gale_shapley_prefetch(in, 0, 1, {}, w, r);
+    gs::gale_shapley_rounds(in, 0, 1, {}, w, r);
   });
 }
 
-void bm_gs_prefetch_wide(benchmark::State& state) {
+void bm_gs_rounds_wide(benchmark::State& state) {
   Rng rng(193);
   const auto inst = KPartiteInstance::relaid(
       gen::uniform(2, static_cast<Index>(state.range(0)), rng),
       prefs::RankWidth::wide32);
   run_warm(state, inst, [](const auto& in, auto& w, auto& r) {
-    gs::gale_shapley_prefetch(in, 0, 1, {}, w, r);
+    gs::gale_shapley_rounds(in, 0, 1, {}, w, r);
   });
 }
 
@@ -167,10 +169,10 @@ void e19_sizes(benchmark::internal::Benchmark* bench) {
 
 BENCHMARK(bm_gs_queue_narrow)->Apply(e19_sizes);
 BENCHMARK(bm_gs_queue_wide)->Apply(e19_sizes);
-BENCHMARK(bm_gs_prefetch_narrow)->Apply(e19_sizes);
-BENCHMARK(bm_gs_prefetch_wide)->Apply(e19_sizes);
+BENCHMARK(bm_gs_rounds_narrow)->Apply(e19_sizes);
+BENCHMARK(bm_gs_rounds_wide)->Apply(e19_sizes);
 
-// SIMD scan engine vs the scalar scan ablation: the vectorized first-of-pair
+// SIMD scan accept vs the scalar scan ablation: the vectorized first-of-pair
 // kernel against the same O(n) list walks.
 void bm_scan_scalar(benchmark::State& state) {
   Rng rng(194);

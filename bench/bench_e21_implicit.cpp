@@ -113,7 +113,7 @@ void report() {
     const auto tables = imp.materialized();
     const auto a = gs::gale_shapley_queue(imp, 0, 1);
     const auto b = gs::gale_shapley_queue(tables, 0, 1);
-    const auto c = gs::gale_shapley_prefetch(imp, 0, 1);
+    const auto c = gs::gale_shapley_rounds(imp, 0, 1);
     const auto d = gs::gale_shapley_scan_simd(imp, 0, 1);
     all_identical = all_identical &&
                     a.proposer_match == b.proposer_match &&
@@ -130,7 +130,7 @@ void report() {
                                             tables.rank_bytes())});
   }
   duel.print(std::cout);
-  std::cout << "implicit/explicit queue+prefetch+scan_simd outcomes bitwise "
+  std::cout << "implicit/explicit queue+rounds+scan_simd outcomes bitwise "
                "identical: "
             << (all_identical ? "yes (backend is semantics-free)"
                               : "NO (BUG)")
@@ -207,13 +207,13 @@ void bm_implicit_queue(benchmark::State& state) {
 // ~150 GiB there).
 BENCHMARK(bm_implicit_queue)->Arg(1024)->Arg(8192)->Arg(32768)->Arg(100000);
 
-void bm_implicit_prefetch(benchmark::State& state) {
+void bm_implicit_rounds(benchmark::State& state) {
   const auto inst = implicit_uniform(static_cast<Index>(state.range(0)));
   run_warm(state, inst, [](const auto& in, auto& w, auto& r) {
-    gs::gale_shapley_prefetch(in, 0, 1, {}, w, r);
+    gs::gale_shapley_rounds(in, 0, 1, {}, w, r);
   });
 }
-BENCHMARK(bm_implicit_prefetch)->Arg(1024)->Arg(8192)->Arg(32768)
+BENCHMARK(bm_implicit_rounds)->Arg(1024)->Arg(8192)->Arg(32768)
     ->Arg(100000);
 
 /// Explicit twin: the SAME instances materialized, so the proposal counters

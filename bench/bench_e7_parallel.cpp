@@ -108,19 +108,6 @@ void bm_thread_scaling(benchmark::State& state) {
 BENCHMARK(bm_thread_scaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-void bm_parallel_gs_engine(benchmark::State& state) {
-  const auto n = static_cast<Index>(state.range(0));
-  Rng rng(75);
-  const auto inst = gen::uniform(2, n, rng);
-  ThreadPool pool;
-  for (auto _ : state) {
-    const auto result = gs::gale_shapley_parallel(inst, 0, 1, pool);
-    benchmark::DoNotOptimize(result.proposals);
-  }
-}
-BENCHMARK(bm_parallel_gs_engine)->Arg(1024)->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 KSTABLE_BENCH_MAIN(report)

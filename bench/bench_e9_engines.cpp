@@ -3,12 +3,11 @@
 // Paper claims regenerated:
 //  * GS runs in O(n²) accumulated proposals ("at most n² accumulative
 //    proposals"); on uniform instances the average is ~ n·H(n);
-//  * pairwise matching itself is hard to parallelize — the speculative
-//    parallel engine matches the sequential outcome exactly (confluence) but
-//    only wins at large n;
-//  * ablation for the rank-table design decision: the round-based engine is
-//    the paper's §II.A description, the queue engine the textbook form; both
-//    count identical proposals.
+//  * the round-based engine is the paper's §II.A description, the queue
+//    engine the textbook form; both reach the same matching (confluence)
+//    and count identical proposals;
+//  * ablation for the rank-table design decision: the scan engine answers
+//    every accept/reject by walking the responder's list instead.
 
 #include <cmath>
 
@@ -40,11 +39,9 @@ void report() {
   const auto inst = gen::uniform(2, n, rng2);
   const auto queue = gs::gale_shapley_queue(inst, 0, 1);
   const auto round = gs::gale_shapley_rounds(inst, 0, 1);
-  ThreadPool pool;
-  const auto parallel = gs::gale_shapley_parallel(inst, 0, 1, pool);
   std::cout << "Engines agree at n=2048: "
             << ((queue.proposer_match == round.proposer_match &&
-                 queue.proposer_match == parallel.proposer_match)
+                 queue.proposals == round.proposals)
                     ? "yes (confluence)"
                     : "NO — bug!")
             << "\n\n";
@@ -64,8 +61,8 @@ BENCHMARK(bm_engine_queue)->RangeMultiplier(2)->Range(256, 8192)->Complexity();
 // Resilience-overhead ablation: the same queue engine with an attached (but
 // unlimited) ExecControl. The delta vs bm_engine_queue is the full cost of
 // deadline/cancellation support — one relaxed fetch_add plus one relaxed load
-// per proposal, with the clock consulted every kClockStride units. Should be
-// within noise of the unguarded run.
+// per proposal, with the clock consulted every kClockStride units
+// (docs/RESILIENCE.md records the measured overhead).
 void bm_engine_queue_guarded(benchmark::State& state) {
   const auto n = static_cast<Index>(state.range(0));
   Rng rng(93);
@@ -90,18 +87,6 @@ void bm_engine_rounds(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_engine_rounds)->RangeMultiplier(2)->Range(256, 8192);
-
-void bm_engine_parallel(benchmark::State& state) {
-  const auto n = static_cast<Index>(state.range(0));
-  Rng rng(93);
-  const auto inst = gen::uniform(2, n, rng);
-  ThreadPool pool;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        gs::gale_shapley_parallel(inst, 0, 1, pool).proposals);
-  }
-}
-BENCHMARK(bm_engine_parallel)->RangeMultiplier(2)->Range(256, 8192);
 
 // Ablation for DESIGN.md decision 1 (rank tables): same algorithm, but every
 // responder comparison scans the preference list. The gap vs bm_engine_queue

@@ -694,7 +694,6 @@ int cmd_mertens(int argc, char** /*argv*/) {
 
 int cmd_verify(int argc, char** /*argv*/) {
   if (argc != 2) return usage();  // everything is flag-driven
-  g_verify.pool_threads = g_sweep_threads > 1 ? g_sweep_threads : 0;
   g_verify.report = &std::cout;  // mismatch/repro JSON lines to stdout
   const auto summary = verify::run_verification(g_verify);
   g_telemetry = summary.telemetry;

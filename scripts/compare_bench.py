@@ -10,10 +10,10 @@ Three check classes, strictest first:
                         deterministic (proposal counts): must match the
                         baseline exactly. Machine-independent.
   2. ratio contracts  — WITHIN-file time ratios between an engine pair
-                        (e.g. prefetch/queue at the same n), compared across
+                        (e.g. rounds/queue at the same n), compared across
                         files with a tolerance. Ratios transfer between
                         machines, so this is the cross-runner regression
-                        signal: if prefetch used to beat queue by 1.8x and a
+                        signal: if rounds used to beat queue by 1.5x and a
                         change makes it slower than queue, the gate trips.
   3. absolute timing  — per-benchmark real_time vs the baseline, tolerance-
                         gated. Only meaningful when baseline and fresh run
@@ -23,8 +23,8 @@ Three check classes, strictest first:
 Usage:
   compare_bench.py --baseline bench/baselines/BENCH_E19.json \
       --fresh BENCH_e19.json \
-      --ratio bm_gs_prefetch_narrow bm_gs_queue_narrow \
-      --ratio bm_gs_prefetch_wide bm_gs_queue_wide \
+      --ratio bm_gs_rounds_narrow bm_gs_queue_narrow \
+      --ratio bm_gs_rounds_wide bm_gs_queue_wide \
       [--tolerance 0.10] [--exact-counter proposals] [--check-absolute]
 
 Exit status: 0 = no regression, 1 = regression found, 2 = usage/data error.

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Reproduces everything: build, full test suite, every experiment E1..E19.
+# Reproduces everything: build, full test suite, every experiment E1..E21.
 # Outputs land in test_output.txt and bench_output.txt at the repo root,
 # plus one machine-readable BENCH_<exp>.json per benchmark binary (google
 # benchmark's JSON reporter; the human console report is unaffected).
@@ -51,11 +51,11 @@ mv bench_output.txt.partial bench_output.txt
 python3 scripts/compare_bench.py \
   --baseline bench/baselines/BENCH_E18.json --fresh BENCH_e18.json \
   --exact-counter trees --exact-counter chunk
-# E19: exact proposal counters plus prefetch/queue engine ratios.
+# E19: exact proposal counters plus rounds/queue schedule ratios.
 python3 scripts/compare_bench.py \
   --baseline bench/baselines/BENCH_E19.json --fresh BENCH_e19.json \
-  --ratio bm_gs_prefetch_narrow bm_gs_queue_narrow \
-  --ratio bm_gs_prefetch_wide bm_gs_queue_wide
+  --ratio bm_gs_rounds_narrow bm_gs_queue_narrow \
+  --ratio bm_gs_rounds_wide bm_gs_queue_wide
 # E20: warm must stay cheaper than cold by the frozen-scenario counters.
 python3 scripts/compare_bench.py \
   --baseline bench/baselines/BENCH_E20.json --fresh BENCH_e20.json \
@@ -66,6 +66,6 @@ python3 scripts/compare_bench.py \
 python3 scripts/compare_bench.py \
   --baseline bench/baselines/BENCH_E21.json --fresh BENCH_e21.json \
   --ratio bm_implicit_queue bm_explicit_queue \
-  --ratio bm_implicit_prefetch bm_implicit_queue
+  --ratio bm_implicit_rounds bm_implicit_queue
 
 echo "reproduce.sh: all experiments completed"

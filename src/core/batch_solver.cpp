@@ -13,9 +13,6 @@ namespace kstable::core {
 
 std::vector<BatchItemResult> BatchSolver::solve(
     std::span<const KPartiteInstance> instances, const BatchOptions& options) {
-  KSTABLE_REQUIRE(options.engine != GsEngine::parallel,
-                  "BatchSolver parallelizes across items; use GsEngine::queue "
-                  "or GsEngine::rounds per item");
   KSTABLE_REQUIRE(options.per_item_budgets.empty() ||
                       options.per_item_budgets.size() == instances.size(),
                   "per_item_budgets has " << options.per_item_budgets.size()

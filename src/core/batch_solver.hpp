@@ -37,9 +37,7 @@ enum class BatchTree : std::uint8_t {
 };
 
 struct BatchOptions {
-  /// Sequential engine per item. GsEngine::parallel is rejected — items
-  /// already saturate the pool, and nesting pool work inside pool tasks can
-  /// deadlock a fixed-size pool.
+  /// Per-edge GS engine of every item; items run in parallel across the pool.
   GsEngine engine = GsEngine::queue;
   BatchTree tree = BatchTree::path;
   /// Budget applied to every item (each gets a fresh ExecControl), unless

@@ -3,8 +3,6 @@
 #include <utility>
 
 #include "core/gs_cache.hpp"
-#include "gs/parallel_gs.hpp"
-#include "gs/scan_gs.hpp"
 #include "resilience/fault_injection.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -19,40 +17,18 @@ gs::GsResult run_engine(const KPartiteInstance& inst, GenderEdge edge,
   gs::GsOptions gs_options;
   gs_options.control = options.control;
   gs_options.trace = options.trace;
+  gs::GsWorkspace local;
+  gs::GsWorkspace& workspace =
+      options.workspace != nullptr ? *options.workspace : local;
   gs::GsResult result;
-  switch (options.engine) {
-    case GsEngine::queue:
-      if (options.workspace != nullptr) {
-        gs::gale_shapley_queue(inst, edge.a, edge.b, gs_options,
-                               *options.workspace, result);
-      } else {
-        result = gs::gale_shapley_queue(inst, edge.a, edge.b, gs_options);
-      }
-      return result;
-    case GsEngine::rounds:
-      if (options.workspace != nullptr) {
-        gs::gale_shapley_rounds(inst, edge.a, edge.b, gs_options,
-                                *options.workspace, result);
-      } else {
-        result = gs::gale_shapley_rounds(inst, edge.a, edge.b, gs_options);
-      }
-      return result;
-    case GsEngine::parallel:
-      KSTABLE_REQUIRE(options.pool != nullptr,
-                      "GsEngine::parallel needs a ThreadPool");
-      return gs::gale_shapley_parallel(inst, edge.a, edge.b, *options.pool,
-                                       256, options.control);
-    case GsEngine::prefetch:
-      if (options.workspace != nullptr) {
-        gs::gale_shapley_prefetch(inst, edge.a, edge.b, gs_options,
-                                  *options.workspace, result);
-      } else {
-        result = gs::gale_shapley_prefetch(inst, edge.a, edge.b, gs_options);
-      }
-      return result;
+  if (options.engine == GsEngine::rounds) {
+    gs::gale_shapley_rounds(inst, edge.a, edge.b, gs_options, workspace,
+                            result);
+  } else {
+    gs::gale_shapley_queue(inst, edge.a, edge.b, gs_options, workspace,
+                           result);
   }
-  KSTABLE_REQUIRE(false, "unknown GS engine");
-  return {};
+  return result;
 }
 
 /// Static-lifetime telemetry label for a binding driven by `engine`.
@@ -60,8 +36,6 @@ const char* binding_engine_label(GsEngine engine) {
   switch (engine) {
     case GsEngine::queue: return "binding.queue";
     case GsEngine::rounds: return "binding.rounds";
-    case GsEngine::parallel: return "binding.parallel";
-    case GsEngine::prefetch: return "binding.prefetch";
   }
   return "binding";
 }

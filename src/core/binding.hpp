@@ -28,25 +28,22 @@
 
 namespace kstable::core {
 
-/// Which Gale-Shapley engine runs each binary binding. `prefetch` is the
-/// queue algorithm over the compact rank layout with a software-prefetch
-/// pipeline (gs/scan_gs.hpp) — sequential like queue/rounds, bitwise
-/// identical to queue, built for large-n DRAM-bound solves.
-enum class GsEngine { queue, rounds, parallel, prefetch };
+/// Which Gale-Shapley schedule runs each binary binding (gs/propose_loop.hpp):
+/// the textbook free stack or the paper's §II.A rounds. Both are sequential
+/// and reach the same matching with the same proposal count.
+enum class GsEngine { queue, rounds };
 
 /// Number of GsEngine values. Keep NEXT TO the enum and update together when
 /// adding an engine: GsEdgeCache sizes its slot table from this and
-/// static_asserts against its own compiled-in constant, so a fifth engine
+/// static_asserts against its own compiled-in constant, so a third engine
 /// cannot silently alias cache slots.
-inline constexpr std::size_t kGsEngineCount = 4;
+inline constexpr std::size_t kGsEngineCount = 2;
 
 /// Static-lifetime display/metrics label of an engine.
 [[nodiscard]] constexpr const char* to_string(GsEngine engine) noexcept {
   switch (engine) {
     case GsEngine::queue: return "queue";
     case GsEngine::rounds: return "rounds";
-    case GsEngine::parallel: return "parallel";
-    case GsEngine::prefetch: return "prefetch";
   }
   return "unknown";
 }
@@ -76,7 +73,8 @@ class WarmStartProvider {
 
 struct BindingOptions {
   GsEngine engine = GsEngine::queue;
-  /// Required when engine == GsEngine::parallel.
+  /// Optional pool for drivers that fan independent per-edge solves out
+  /// (probe_all_pairs); each GS run itself stays sequential.
   ThreadPool* pool = nullptr;
   /// Optional deadline/budget/cancellation control, threaded into every
   /// per-edge GS run and checked between edges. Throws ExecutionAborted.
@@ -88,9 +86,9 @@ struct BindingOptions {
   /// for free. Semantically invisible: matchings are bitwise-identical with
   /// and without a cache.
   GsEdgeCache* cache = nullptr;
-  /// Optional scratch buffers for the sequential engines (gs::GsWorkspace);
-  /// a warm workspace makes every per-edge GS run allocation-free. Owned by
-  /// the calling thread; ignored by GsEngine::parallel.
+  /// Optional scratch buffers for the engines (gs::GsWorkspace); a warm
+  /// workspace makes every per-edge GS run allocation-free. Owned by the
+  /// calling thread.
   gs::GsWorkspace* workspace = nullptr;
   /// If non-null, every per-edge proposal event is appended (small instances
   /// only). Cache hits replay no events — only freshly computed edges trace.

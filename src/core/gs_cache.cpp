@@ -18,16 +18,15 @@ constexpr std::chrono::milliseconds kWaiterPollInterval{20};
 
 }  // namespace
 
-GsEdgeCache::GsEdgeCache(Gender k, Policy policy)
+GsEdgeCache::GsEdgeCache(Gender k)
     : k_(k),
-      policy_(policy),
       slots_(static_cast<std::size_t>(k >= 2 ? k : 0) *
              static_cast<std::size_t>(k >= 2 ? k : 0) * kEngineCount) {
   KSTABLE_REQUIRE(k >= 2, "GsEdgeCache needs k >= 2, got " << k);
 }
 
-GsEdgeCache::GsEdgeCache(const KPartiteInstance& inst, Policy policy)
-    : GsEdgeCache(inst.genders(), policy) {
+GsEdgeCache::GsEdgeCache(const KPartiteInstance& inst)
+    : GsEdgeCache(inst.genders()) {
   bound_generation_ = inst.generation();
 }
 
@@ -155,26 +154,21 @@ const gs::GsResult& GsEdgeCache::get_or_compute(
       return *entry.value;
     }
 
-    if (state == kEmpty || policy_ == Policy::duplicate) {
-      // Leader path (or a legacy duplicate compute racing the leader). Claim
-      // the slot, run GS unlocked, publish under the stripe lock.
-      const bool claimed = state == kEmpty;
-      if (claimed) {
-        entry.state.store(kComputing, std::memory_order_relaxed);
-      }
+    if (state == kEmpty) {
+      // Leader path. Claim the slot, run GS unlocked, publish under the
+      // stripe lock.
+      entry.state.store(kComputing, std::memory_order_relaxed);
       lock.unlock();
       gs::GsResult result;
       try {
         result = compute();
       } catch (...) {
-        if (claimed) {
-          // Roll the claim back so a waiter (or the next caller) becomes the
-          // new leader instead of blocking on an abandoned compute forever.
-          lock.lock();
-          entry.state.store(kEmpty, std::memory_order_relaxed);
-          lock.unlock();
-          stripe.cv.notify_all();
-        }
+        // Roll the claim back so a waiter (or the next caller) becomes the
+        // new leader instead of blocking on an abandoned compute forever.
+        lock.lock();
+        entry.state.store(kEmpty, std::memory_order_relaxed);
+        lock.unlock();
+        stripe.cv.notify_all();
         throw;
       }
       KSTABLE_REQUIRE(result.proposer_gender == edge.a &&
@@ -197,10 +191,10 @@ const gs::GsResult& GsEdgeCache::get_or_compute(
       return *entry.value;
     }
 
-    // state == kComputing under single-flight: another thread owns the GS
-    // run for this key. Wait it out, polling our own control so a deadline
-    // or cancellation aborts a blocked waiter too (ExecutionAborted unwinds
-    // with the lock released by RAII).
+    // state == kComputing: another thread owns the GS run for this key.
+    // Wait it out, polling our own control so a deadline or cancellation
+    // aborts a blocked waiter too (ExecutionAborted unwinds with the lock
+    // released by RAII).
     waited = true;
     stripe.cv.wait_for(lock, kWaiterPollInterval);
     if (control != nullptr) control->check_now();

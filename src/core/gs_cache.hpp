@@ -3,8 +3,8 @@
 // Every spanning binding tree over k genders draws its edges from the same
 // k(k-1)/2 gender-pair set (2·C(k,2) = k(k-1) oriented edges), and a per-edge
 // GsResult is a pure function of (instance, oriented edge, engine): the
-// engines are deterministic and GS is confluent, so even the parallel engine
-// reproduces the sequential outcome bit for bit. Multi-tree drivers —
+// engines are deterministic and GS is confluent, so every engine reproduces
+// the same matching bit for bit. Multi-tree drivers —
 // tree_selection probes, the E15 ablation sweep, the TreeSweep engine,
 // solve_with_fallback's retry ladder — therefore recompute identical
 // matchings over and over. Memoizing them collapses O(#trees·(k-1)) GS runs
@@ -47,9 +47,6 @@
 //     deduplicated waits are counted in Stats::single_flight_waits). If the
 //     leader's compute throws (deadline, cancellation, injected fault), the
 //     slot resets to empty and one waiter is promoted to leader.
-//   * Policy::duplicate opts back into the pre-single-flight behaviour
-//     (concurrent misses all compute; first publish wins) so the E18
-//     benchmark can measure exactly what deduplication buys.
 //
 // Counting contract (what the gs_cache tests pin down): every lookup counts
 // exactly one hit or one miss; a miss is counted by the thread whose compute
@@ -83,27 +80,20 @@ class GsEdgeCache {
                 "GsEdgeCache slot table must cover every GsEngine value; "
                 "update kGsEngineCount (core/binding.hpp) and kEngineCount "
                 "together when adding an engine");
-  static_assert(static_cast<std::size_t>(GsEngine::prefetch) ==
+  static_assert(static_cast<std::size_t>(GsEngine::rounds) ==
                     kGsEngineCount - 1,
                 "kGsEngineCount is out of sync with the last GsEngine "
                 "enumerator");
 
-  /// Miss-resolution policy for concurrent misses on one key.
-  enum class Policy {
-    single_flight,  ///< one leader computes, other missers wait (default)
-    duplicate,      ///< legacy: every misser computes, first publish wins
-  };
-
   /// Creates an empty cache for instances with `k` genders. The staleness
   /// guard is OFF: the caller owns the instance/cache pairing (legacy
   /// construction sites, and tests that drive the slot machinery directly).
-  explicit GsEdgeCache(Gender k, Policy policy = Policy::single_flight);
+  explicit GsEdgeCache(Gender k);
 
   /// Creates an empty cache bound to `inst`: records genders() AND
   /// generation(), arming check_instance() against mutation-under-cache.
   /// Preferred for any instance the incremental mutation API may touch.
-  explicit GsEdgeCache(const KPartiteInstance& inst,
-                       Policy policy = Policy::single_flight);
+  explicit GsEdgeCache(const KPartiteInstance& inst);
 
   /// Staleness guard: throws std::logic_error (ContractViolation) when the
   /// cache is generation-bound and `inst` does not match the bound shape and
@@ -171,8 +161,6 @@ class GsEdgeCache {
             single_flight_waits_.load(std::memory_order_relaxed)};
   }
 
-  [[nodiscard]] Policy policy() const noexcept { return policy_; }
-
   /// Drops every entry and zeroes the counters (the cache stays bound to the
   /// same instance shape and generation — pair with rebind() after a
   /// mutation). Returns how many ready entries were dropped, the number
@@ -220,7 +208,6 @@ class GsEdgeCache {
   }
 
   Gender k_;
-  Policy policy_;
   /// Instance generation the guard is armed against (nullopt = legacy
   /// unbound cache, guard off). Written only at construction/rebind, both of
   /// which require quiescence, so plain storage is race-free.

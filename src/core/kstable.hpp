@@ -51,7 +51,6 @@
 #include "graph/scheduling.hpp"
 #include "gs/gale_shapley.hpp"
 #include "gs/hospitals.hpp"
-#include "gs/parallel_gs.hpp"
 #include "gs/scan_gs.hpp"
 #include "incremental/mutation.hpp"
 #include "incremental/rematch.hpp"

@@ -31,11 +31,11 @@ struct PairProbe {
 /// the subsequent iterative_binding along the selected tree replays its
 /// edges as cache hits instead of re-running GS.
 ///
-/// With options.pool attached (and a sequential per-edge engine, no trace
-/// sink), the independent probes fan out across the pool; the returned
-/// vector is identical to the sequential pass (each probe is the same
-/// deterministic GS run written to its own pre-assigned slot). Inside a pool
-/// worker the probes stay sequential (nested-pool guard).
+/// With options.pool attached (and no trace sink), the independent probes
+/// fan out across the pool; the returned vector is identical to the
+/// sequential pass (each probe is the same deterministic GS run written to
+/// its own pre-assigned slot). Inside a pool worker the probes stay
+/// sequential (nested-pool guard).
 std::vector<PairProbe> probe_all_pairs(const KPartiteInstance& inst,
                                        const BindingOptions& options = {});
 

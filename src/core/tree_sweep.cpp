@@ -152,9 +152,6 @@ void evaluate_tree(const KPartiteInstance& inst, std::int64_t index,
 TreeSweepResult sweep_indexed(const KPartiteInstance& inst, std::int64_t count,
                               const TreeProvider& provider,
                               const TreeSweepOptions& opt) {
-  KSTABLE_REQUIRE(opt.engine != GsEngine::parallel,
-                  "TreeSweep spends its parallelism across trees; use a "
-                  "sequential per-edge engine (queue/rounds)");
   KSTABLE_REQUIRE(opt.chunk_trees >= 1,
                   "chunk_trees must be >= 1, got " << opt.chunk_trees);
   KSTABLE_REQUIRE(opt.budget_backoff >= 1.0,

@@ -66,8 +66,8 @@ enum class SweepFold {
 };
 
 struct TreeSweepOptions {
-  /// Per-edge GS engine. Must be a sequential engine (queue/rounds):
-  /// TreeSweep spends its parallelism across trees, not inside one edge.
+  /// Per-edge GS engine. TreeSweep spends its parallelism across trees, not
+  /// inside one edge.
   GsEngine engine = GsEngine::queue;
   /// Workers to sweep on; nullptr = sequential. Ignored (sequential
   /// fallback) when the caller is itself a pool worker — see header notes.

@@ -1,11 +1,8 @@
 #include "gs/gale_shapley.hpp"
 
-#include <algorithm>
-
+#include "gs/propose_loop.hpp"
 #include "observability/metrics.hpp"
-#include "prefs/implicit/pref_view.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace kstable::gs {
 
@@ -27,6 +24,10 @@ const bool kInstrumentsWarm = [] {
 }();
 #endif
 
+}  // namespace
+
+namespace detail {
+
 void check_genders(const KPartiteInstance& inst, Gender i, Gender j) {
   KSTABLE_REQUIRE(i >= 0 && i < inst.genders() && j >= 0 && j < inst.genders(),
                   "GS(" << i << ',' << j << ") out of range, k="
@@ -35,9 +36,25 @@ void check_genders(const KPartiteInstance& inst, Gender i, Gender j) {
                                    "to itself");
 }
 
-void finish(const KPartiteInstance& inst, GsResult& result) {
+void reset_result(GsResult& result, Gender i, Gender j, Index n) {
+  result.proposer_gender = i;
+  result.responder_gender = j;
+  result.proposer_match.assign(static_cast<std::size_t>(n), Index{-1});
+  result.responder_match.assign(static_cast<std::size_t>(n), Index{-1});
+  result.proposals = 0;
+  result.rounds = 0;
+}
+
+void reserve_trace(const GsOptions& options, Index n) {
+  if (options.trace != nullptr) {
+    options.trace->reserve(options.trace->size() +
+                           static_cast<std::size_t>(n) *
+                               static_cast<std::size_t>(n));
+  }
+}
+
+void finish(const KPartiteInstance& inst, const GsResult& result) {
   const Index n = inst.per_gender();
-  // Postcondition: perfect matching between the two genders.
   for (Index p = 0; p < n; ++p) {
     KSTABLE_ENSURE(result.proposer_match[static_cast<std::size_t>(p)] >= 0,
                    "proposer " << p << " left unmatched");
@@ -50,97 +67,13 @@ void finish(const KPartiteInstance& inst, GsResult& result) {
   }
 }
 
-/// Resets `result` for a fresh (i, j) solve, reusing vector capacity.
-void reset_result(GsResult& result, Gender i, Gender j, Index n) {
-  result.proposer_gender = i;
-  result.responder_gender = j;
-  result.proposer_match.assign(static_cast<std::size_t>(n), Index{-1});
-  result.responder_match.assign(static_cast<std::size_t>(n), Index{-1});
-  result.proposals = 0;
-  result.rounds = 0;
-}
-
-/// Traced runs reserve the Theorem 3 per-binding bound (n² proposals) once,
-/// instead of growing the event vector geometrically mid-run.
-void reserve_trace(const GsOptions& options, Index n) {
-  if (options.trace != nullptr) {
-    options.trace->reserve(options.trace->size() +
-                           static_cast<std::size_t>(n) *
-                               static_cast<std::size_t>(n));
-  }
-}
-
-/// Queue-engine proposal loop, monomorphized on the preference view
-/// (prefs/implicit/pref_view.hpp): ExplicitView<R> compiles to the raw
-/// hoisted-pointer loads this loop used to spell out inline (no per-access
-/// width or backend dispatch in the hot path); ImplicitView evaluates the
-/// same entries from the seeded generator in O(1) each.
-template <typename View>
-void queue_loop(const View view, Index n, const GsOptions& options,
-                GsWorkspace& workspace, GsResult& result) {
-  // next_choice[p]: rank of the next responder p will propose to.
-  workspace.next_choice.assign(static_cast<std::size_t>(n), Index{0});
-  auto& free_stack = workspace.free_list;
-  free_stack.resize(static_cast<std::size_t>(n));
-  for (Index p = 0; p < n; ++p) {
-    free_stack[static_cast<std::size_t>(p)] = n - 1 - p;  // pop in index order
-  }
-
-  Index* const proposer_match = result.proposer_match.data();
-  Index* const responder_match = result.responder_match.data();
-  Index* const next_choice = workspace.next_choice.data();
-
-  while (!free_stack.empty()) {
-    const Index p = free_stack.back();
-    free_stack.pop_back();
-    KSTABLE_ASSERT(next_choice[static_cast<std::size_t>(p)] < n);
-    const Index r = view.pref_at(p, next_choice[static_cast<std::size_t>(p)]++);
-    ++result.proposals;
-    if (options.control != nullptr) options.control->charge();
-
-    const Index holder = responder_match[static_cast<std::size_t>(r)];
-    // Hoisted responder row handle: the accept/reject compare is two rank
-    // evaluations off it, no per-proposal row re-derivation.
-    const auto ranks = view.resp_row(r);
-    ProposalEvent event{p, r, false, -1};
-    if (holder < 0) {
-      responder_match[static_cast<std::size_t>(r)] = p;
-      proposer_match[static_cast<std::size_t>(p)] = r;
-      event.accepted = true;
-    } else if (view.rank_in(ranks, p) < view.rank_in(ranks, holder)) {
-      responder_match[static_cast<std::size_t>(r)] = p;
-      proposer_match[static_cast<std::size_t>(p)] = r;
-      proposer_match[static_cast<std::size_t>(holder)] = -1;
-      free_stack.push_back(holder);
-      event.accepted = true;
-      event.displaced = holder;
-    } else {
-      free_stack.push_back(p);  // rejected; will try the next choice
-    }
-    if (options.trace != nullptr) options.trace->push_back(event);
-  }
-}
-
-}  // namespace
+}  // namespace detail
 
 void gale_shapley_queue(const KPartiteInstance& inst, Gender i, Gender j,
                         const GsOptions& options, GsWorkspace& workspace,
                         GsResult& result) {
-  check_genders(inst, i, j);
-  const WallTimer timer;
-  const Index n = inst.per_gender();
-  reset_result(result, i, j, n);
-  reserve_trace(options, n);
-
-  // One backend + width dispatch per solve; identical matchings every way
-  // (the DiffRunner layout and implicit batteries pin this bitwise).
-  prefs::with_pref_view(inst, i, j, [&](const auto view) {
-    queue_loop(view, n, options, workspace, result);
-  });
-  result.rounds = result.proposals;
+  solve<StackSchedule, RankAccept>(inst, i, j, options, workspace, result);
   result.engine = "gs.queue";
-  result.wall_ms = timer.millis();
-  finish(inst, result);
   KSTABLE_COUNTER_ADD("gs.queue.solves", 1);
   KSTABLE_COUNTER_ADD("gs.queue.proposals", result.proposals);
 }
@@ -153,81 +86,11 @@ GsResult gale_shapley_queue(const KPartiteInstance& inst, Gender i, Gender j,
   return result;
 }
 
-namespace {
-
-/// Rounds-engine loop, monomorphized on the preference view (same dispatch
-/// as queue_loop).
-template <typename View>
-void rounds_loop(const View view, Index n, const GsOptions& options,
-                 GsWorkspace& workspace, GsResult& result) {
-  workspace.next_choice.assign(static_cast<std::size_t>(n), Index{0});
-  auto& free_list = workspace.free_list;
-  free_list.resize(static_cast<std::size_t>(n));
-  for (Index p = 0; p < n; ++p) free_list[static_cast<std::size_t>(p)] = p;
-  auto& still_free = workspace.still_free;
-  still_free.clear();
-  still_free.reserve(static_cast<std::size_t>(n));
-
-  Index* const proposer_match = result.proposer_match.data();
-  Index* const responder_match = result.responder_match.data();
-  Index* const next_choice = workspace.next_choice.data();
-
-  while (!free_list.empty()) {
-    ++result.rounds;
-    // One batched charge per round (every free proposer proposes once).
-    if (options.control != nullptr) {
-      options.control->charge(static_cast<std::int64_t>(free_list.size()));
-    }
-    still_free.clear();
-    // Phase 1 of the round: every unengaged proposer proposes to the
-    // most-preferred responder it has not yet proposed to (§II.A verbatim).
-    for (const Index p : free_list) {
-      const Index r =
-          view.pref_at(p, next_choice[static_cast<std::size_t>(p)]++);
-      ++result.proposals;
-      // Phase 2 folded in: the responder replies "maybe" only to the best
-      // suitor seen so far (including its current provisional partner); the
-      // hoisted row handle makes that compare two rank evaluations.
-      const Index holder = responder_match[static_cast<std::size_t>(r)];
-      const auto ranks = view.resp_row(r);
-      ProposalEvent event{p, r, false, -1};
-      if (holder < 0) {
-        responder_match[static_cast<std::size_t>(r)] = p;
-        proposer_match[static_cast<std::size_t>(p)] = r;
-        event.accepted = true;
-      } else if (view.rank_in(ranks, p) < view.rank_in(ranks, holder)) {
-        responder_match[static_cast<std::size_t>(r)] = p;
-        proposer_match[static_cast<std::size_t>(p)] = r;
-        proposer_match[static_cast<std::size_t>(holder)] = -1;
-        still_free.push_back(holder);
-        event.accepted = true;
-        event.displaced = holder;
-      } else {
-        still_free.push_back(p);
-      }
-      if (options.trace != nullptr) options.trace->push_back(event);
-    }
-    free_list.swap(still_free);
-  }
-}
-
-}  // namespace
-
 void gale_shapley_rounds(const KPartiteInstance& inst, Gender i, Gender j,
                          const GsOptions& options, GsWorkspace& workspace,
                          GsResult& result) {
-  check_genders(inst, i, j);
-  const WallTimer timer;
-  const Index n = inst.per_gender();
-  reset_result(result, i, j, n);
-  reserve_trace(options, n);
-
-  prefs::with_pref_view(inst, i, j, [&](const auto view) {
-    rounds_loop(view, n, options, workspace, result);
-  });
+  solve<RoundsSchedule, RankAccept>(inst, i, j, options, workspace, result);
   result.engine = "gs.rounds";
-  result.wall_ms = timer.millis();
-  finish(inst, result);
   KSTABLE_COUNTER_ADD("gs.rounds.solves", 1);
   KSTABLE_COUNTER_ADD("gs.rounds.proposals", result.proposals);
   KSTABLE_COUNTER_ADD("gs.rounds.rounds", result.rounds);

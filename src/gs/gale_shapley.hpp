@@ -1,16 +1,16 @@
 // Gale-Shapley engines for one binary binding GS(i, j) between two genders of
 // a KPartiteInstance (paper §II.A).
 //
-// Three implementations with identical outcomes (GS is confluent: the
-// proposer-optimal matching does not depend on proposal order):
-//   * queue engine  — textbook free-list iteration, O(n²) worst case;
+// Two schedules of one propose kernel (gs/propose_loop.hpp), with identical
+// outcomes (GS is confluent: the proposer-optimal matching does not depend on
+// proposal order):
+//   * queue engine  — textbook free-stack iteration, O(n²) worst case;
 //   * round engine  — the paper's description: per round, every unengaged
 //                     proposer proposes, every responder keeps the best
-//                     (McVitie-Wilson style rounds);
-//   * parallel engine (parallel_gs.hpp) — speculative concurrent proposals
-//                     with atomic responder slots.
-// All engines count accumulated proposals, the unit of Theorem 3's
-// (k-1)n² bound.
+//                     (McVitie-Wilson style rounds).
+// The scan ablations (gs/scan_gs.hpp) and the warm restart
+// (incremental/warm_gs.hpp) run the same kernel. All engines count
+// accumulated proposals, the unit of Theorem 3's (k-1)n² bound.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +48,7 @@ struct GsResult {
   /// Wall time of the engine run in milliseconds (0 for cache replays).
   double wall_ms = 0.0;
   /// Static-lifetime label of the engine that produced this result
-  /// ("gs.queue", "gs.rounds", "gs.parallel", "gs.scan").
+  /// ("gs.queue", "gs.rounds", "gs.scan", "gs.scan_simd", "gs.warm").
   const char* engine = "";
 };
 
@@ -68,7 +68,7 @@ struct GsOptions {
   resilience::ExecControl* control = nullptr;
 };
 
-/// Reusable scratch state for the sequential engines. The engines only ever
+/// Reusable scratch state for the engines. The engines only ever
 /// .assign()/.resize() these buffers, so after one solve at size n ("warm-up")
 /// every later solve at size <= n reuses the capacity: combined with the
 /// into-style overloads below, a warm workspace + warm result makes

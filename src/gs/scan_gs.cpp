@@ -1,214 +1,15 @@
 #include "gs/scan_gs.hpp"
 
-#include "gs/simd.hpp"
+#include "gs/propose_loop.hpp"
 #include "observability/metrics.hpp"
-#include "prefs/implicit/pref_view.hpp"
-#include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace kstable::gs {
 
-namespace {
-
-#if KSTABLE_METRICS_ENABLED
-/// Eager instrument registration (same pattern as gale_shapley.cpp): the
-/// prefetch engine shares the queue engine's zero-allocation warm-path
-/// contract, so even its FIRST warm solve must not allocate inside the
-/// metrics registry.
-const bool kScanInstrumentsWarm = [] {
-  auto& registry = obs::MetricsRegistry::global();
-  registry.counter("gs.scan.solves");
-  registry.counter("gs.scan.proposals");
-  registry.counter("gs.scan_simd.solves");
-  registry.counter("gs.scan_simd.proposals");
-  registry.counter("gs.prefetch.solves");
-  registry.counter("gs.prefetch.proposals");
-  return true;
-}();
-#endif
-
-/// True iff responder r prefers proposer a over proposer b, determined by
-/// walking the responder's list front-to-back through the view (no rank
-/// table). On the implicit backend each step is one Feistel evaluation.
-template <typename View>
-bool scan_prefers(const View& view, Index r, Index n, Index a, Index b) {
-  const auto row = view.resp_row(r);
-  for (Index c = 0; c < n; ++c) {
-    const Index candidate = view.resp_pref_in(row, c);
-    if (candidate == a) return true;
-    if (candidate == b) return false;
-  }
-  KSTABLE_REQUIRE(false, "neither " << a << " nor " << b
-                                    << " on responder " << r << "'s list");
-  return false;
-}
-
-/// Vectorized scan_prefers: position of the earliest of {a, b} on the list,
-/// found 8/4 lanes at a time. Same verdict as the scalar scan bit for bit.
-/// The kernel needs the row in contiguous memory; the implicit backend has
-/// none, so it falls back to the scalar walk (identical earliest-hit
-/// semantics, pinned by the DiffRunner implicit battery).
-template <typename View>
-bool scan_prefers_simd(const View& view, Index r, Index n, Index a, Index b) {
-  if constexpr (View::kContiguousRows) {
-    const auto list = view.resp_pref_span(r, n);
-    const std::size_t pos =
-        simd::first_of_pair(list.data(), list.size(), a, b);
-    KSTABLE_REQUIRE(pos < list.size(), "neither " << a << " nor " << b
-                                                  << " on responder " << r
-                                                  << "'s list");
-    return list[pos] == a;
-  } else {
-    return scan_prefers(view, r, n, a, b);
-  }
-}
-
-/// Shared body of the two scan engines: textbook free-stack GS where the
-/// accept/reject test is `prefers(view, r, n, challenger, holder)`. The
-/// `prefers` callable is generic over the view so each backend/width gets
-/// its own monomorphized loop.
-template <typename Prefers>
-GsResult scan_engine(const KPartiteInstance& inst, Gender i, Gender j,
-                     const char* engine_label, Prefers&& prefers) {
-  KSTABLE_REQUIRE(i != j && i >= 0 && j >= 0 && i < inst.genders() &&
-                      j < inst.genders(),
-                  "GS(" << i << ',' << j << ") invalid, k=" << inst.genders());
-  const Index n = inst.per_gender();
-  const WallTimer timer;
-  GsResult result;
-  result.proposer_gender = i;
-  result.responder_gender = j;
-  result.proposer_match.assign(static_cast<std::size_t>(n), Index{-1});
-  result.responder_match.assign(static_cast<std::size_t>(n), Index{-1});
-
-  std::vector<Index> next_choice(static_cast<std::size_t>(n), Index{0});
-  std::vector<Index> free_stack(static_cast<std::size_t>(n));
-  for (Index p = 0; p < n; ++p) {
-    free_stack[static_cast<std::size_t>(p)] = n - 1 - p;
-  }
-  prefs::with_pref_view(inst, i, j, [&](const auto view) {
-    while (!free_stack.empty()) {
-      const Index p = free_stack.back();
-      free_stack.pop_back();
-      const Index r =
-          view.pref_at(p, next_choice[static_cast<std::size_t>(p)]++);
-      ++result.proposals;
-      const Index holder = result.responder_match[static_cast<std::size_t>(r)];
-      if (holder < 0) {
-        result.responder_match[static_cast<std::size_t>(r)] = p;
-        result.proposer_match[static_cast<std::size_t>(p)] = r;
-      } else if (prefers(view, r, n, p, holder)) {
-        result.responder_match[static_cast<std::size_t>(r)] = p;
-        result.proposer_match[static_cast<std::size_t>(p)] = r;
-        result.proposer_match[static_cast<std::size_t>(holder)] = -1;
-        free_stack.push_back(holder);
-      } else {
-        free_stack.push_back(p);
-      }
-    }
-  });
-  result.rounds = result.proposals;
-  result.engine = engine_label;
-  result.wall_ms = timer.millis();
-  return result;
-}
-
-/// Prefetch-pipelined queue loop, monomorphized on the preference view. The
-/// proposal sequence is EXACTLY the queue engine's (same stack discipline:
-/// a displaced holder or a rejected proposer goes next, otherwise the stack
-/// top), so matchings, proposal counts, and traces are bitwise identical.
-/// What changes is only *when* memory is asked for: each resolution stages
-/// the next proposal — its pref cell was prefetched a step earlier, its two
-/// rank-row cells are prefetched now, consumed at the next resolution —
-/// and speculatively prefetches the pref cell of the likely
-/// proposal-after-next (the stack top). Mispredicted prefetches touch a
-/// wasted cache line; they can never change the outcome. On the implicit
-/// backend every prefetch is a no-op (there is no table to warm) and the
-/// staging collapses to the plain queue discipline.
-template <typename View>
-void prefetch_loop(const View view, Index n, const GsOptions& options,
-                   GsWorkspace& workspace, GsResult& result) {
-  workspace.next_choice.assign(static_cast<std::size_t>(n), Index{0});
-  auto& free_stack = workspace.free_list;
-  free_stack.resize(static_cast<std::size_t>(n));
-  for (Index p = 0; p < n; ++p) {
-    free_stack[static_cast<std::size_t>(p)] = n - 1 - p;  // pop in index order
-  }
-
-  Index* const proposer_match = result.proposer_match.data();
-  Index* const responder_match = result.responder_match.data();
-  Index* const next_choice = workspace.next_choice.data();
-
-  // Stage the first proposal (the queue engine's first pop).
-  Index sp = free_stack.back();
-  free_stack.pop_back();
-  Index sr = view.pref_at(sp, 0);
-  next_choice[static_cast<std::size_t>(sp)] = 1;
-  auto srow = view.resp_row(sr);
-  view.prefetch_rank(srow, sp);
-
-  while (true) {
-    const Index p = sp;
-    const Index r = sr;
-    const auto ranks = srow;
-    ++result.proposals;
-    if (options.control != nullptr) options.control->charge();
-
-    const Index holder = responder_match[static_cast<std::size_t>(r)];
-    Index next = -1;
-    ProposalEvent event{p, r, false, -1};
-    if (holder < 0) {
-      responder_match[static_cast<std::size_t>(r)] = p;
-      proposer_match[static_cast<std::size_t>(p)] = r;
-      event.accepted = true;
-    } else if (view.rank_in(ranks, p) < view.rank_in(ranks, holder)) {
-      responder_match[static_cast<std::size_t>(r)] = p;
-      proposer_match[static_cast<std::size_t>(p)] = r;
-      proposer_match[static_cast<std::size_t>(holder)] = -1;
-      next = holder;  // the queue engine pushes, then pops it right back
-      event.accepted = true;
-      event.displaced = holder;
-    } else {
-      next = p;  // rejected; retries its next choice immediately
-    }
-    if (options.trace != nullptr) options.trace->push_back(event);
-
-    if (next < 0) {
-      if (free_stack.empty()) break;
-      next = free_stack.back();
-      free_stack.pop_back();
-    }
-
-    // Stage `next`: its pref cell is hot (prefetched a step ago when it was
-    // the speculative stack top, or it displaced/rejected through rank rows
-    // just touched); issue the rank-cell prefetches it will need.
-    KSTABLE_ASSERT(next_choice[static_cast<std::size_t>(next)] < n);
-    sp = next;
-    sr = view.pref_at(sp, next_choice[static_cast<std::size_t>(sp)]++);
-    srow = view.resp_row(sr);
-    view.prefetch_rank(srow, sp);
-    const Index sholder = responder_match[static_cast<std::size_t>(sr)];
-    if (sholder >= 0) {
-      view.prefetch_rank(srow, sholder);
-    }
-    // Speculate one further: the proposal after next most likely comes off
-    // the stack top — warm its next pref cell.
-    if (!free_stack.empty()) {
-      const Index spec = free_stack.back();
-      view.prefetch_pref(spec, next_choice[static_cast<std::size_t>(spec)]);
-    }
-  }
-}
-
-}  // namespace
-
 GsResult gale_shapley_scan(const KPartiteInstance& inst, Gender i, Gender j) {
-  auto result = scan_engine(inst, i, j, "gs.scan",
-                            [](const auto& view, Index r, Index n,
-                               Index challenger, Index holder) {
-                              return scan_prefers(view, r, n, challenger,
-                                                  holder);
-                            });
+  GsWorkspace workspace;
+  GsResult result;
+  solve<StackSchedule, ScanAccept>(inst, i, j, {}, workspace, result);
+  result.engine = "gs.scan";
   KSTABLE_COUNTER_ADD("gs.scan.solves", 1);
   KSTABLE_COUNTER_ADD("gs.scan.proposals", result.proposals);
   return result;
@@ -216,52 +17,12 @@ GsResult gale_shapley_scan(const KPartiteInstance& inst, Gender i, Gender j) {
 
 GsResult gale_shapley_scan_simd(const KPartiteInstance& inst, Gender i,
                                 Gender j) {
-  auto result = scan_engine(inst, i, j, "gs.scan_simd",
-                            [](const auto& view, Index r, Index n,
-                               Index challenger, Index holder) {
-                              return scan_prefers_simd(view, r, n, challenger,
-                                                       holder);
-                            });
-  KSTABLE_COUNTER_ADD("gs.scan_simd.solves", 1);
-  KSTABLE_COUNTER_ADD("gs.scan_simd.proposals", result.proposals);
-  return result;
-}
-
-void gale_shapley_prefetch(const KPartiteInstance& inst, Gender i, Gender j,
-                           const GsOptions& options, GsWorkspace& workspace,
-                           GsResult& result) {
-  KSTABLE_REQUIRE(i != j && i >= 0 && j >= 0 && i < inst.genders() &&
-                      j < inst.genders(),
-                  "GS(" << i << ',' << j << ") invalid, k=" << inst.genders());
-  const WallTimer timer;
-  const Index n = inst.per_gender();
-  result.proposer_gender = i;
-  result.responder_gender = j;
-  result.proposer_match.assign(static_cast<std::size_t>(n), Index{-1});
-  result.responder_match.assign(static_cast<std::size_t>(n), Index{-1});
-  result.proposals = 0;
-  result.rounds = 0;
-  if (options.trace != nullptr) {
-    options.trace->reserve(options.trace->size() +
-                           static_cast<std::size_t>(n) *
-                               static_cast<std::size_t>(n));
-  }
-
-  prefs::with_pref_view(inst, i, j, [&](const auto view) {
-    prefetch_loop(view, n, options, workspace, result);
-  });
-  result.rounds = result.proposals;
-  result.engine = "gs.prefetch";
-  result.wall_ms = timer.millis();
-  KSTABLE_COUNTER_ADD("gs.prefetch.solves", 1);
-  KSTABLE_COUNTER_ADD("gs.prefetch.proposals", result.proposals);
-}
-
-GsResult gale_shapley_prefetch(const KPartiteInstance& inst, Gender i,
-                               Gender j, const GsOptions& options) {
   GsWorkspace workspace;
   GsResult result;
-  gale_shapley_prefetch(inst, i, j, options, workspace, result);
+  solve<StackSchedule, SimdScanAccept>(inst, i, j, {}, workspace, result);
+  result.engine = "gs.scan_simd";
+  KSTABLE_COUNTER_ADD("gs.scan_simd.solves", 1);
+  KSTABLE_COUNTER_ADD("gs.scan_simd.proposals", result.proposals);
   return result;
 }
 

@@ -1,29 +1,16 @@
-// Scan-family Gale-Shapley engines: the rank-table ablation baseline and the
-// large-n memory-layout engines (E9, E19).
+// Scan-family Gale-Shapley engines: the rank-table ablation baseline (E9,
+// E19). Both run the queue engine's schedule (gs/propose_loop.hpp), so
+// matchings, proposal counts, and traces are bitwise-identical to
+// gale_shapley_queue; only the responder's accept/reject compare differs:
 //
-// Three engines live here, all producing matchings and proposal counts
-// bitwise-identical to gale_shapley_queue (GS is confluent and every engine
-// preserves the queue engine's exact proposal order):
-//
-//   * gale_shapley_scan       — the ablation baseline: the responder's "do I
-//     prefer the new suitor" comparison scans its preference list instead of
-//     consulting the rank table. O(n) per comparison, O(n³) worst case;
-//     quantifies what the rank table buys (DESIGN.md §Key design decisions).
-//   * gale_shapley_scan_simd  — same algorithm, but the list scan is the
-//     vectorized first-of-pair kernel (gs/simd.hpp): 8 entries per AVX2
-//     step, runtime-dispatched, falling back to SSE2/scalar. Identical
-//     scan semantics (earliest hit wins), so identical everything.
-//   * gale_shapley_prefetch   — the production large-n engine: the queue
-//     algorithm monomorphized on the compact rank width with a
-//     software-prefetch pipeline over the proposal stream. Each resolved
-//     proposal determines the next proposer exactly, so the engine stages
-//     that proposal one step early — prefetching its pref cell, its
-//     responder-match slot, and both rank cells of the accept/reject
-//     compare — and speculatively prefetches the pref cell of the proposer
-//     after that (stack top; a mispredict wastes a cache line, never
-//     correctness). At n >= 10^5 the rank-row touches are effectively
-//     random DRAM reads and this pipeline plus 16-bit ranks is what E19
-//     measures against the scalar queue path.
+//   * gale_shapley_scan      — the compare walks the responder's preference
+//     list instead of consulting the rank table. O(n) per comparison, O(n³)
+//     worst case; quantifies what the rank table buys (DESIGN.md §Key
+//     design decisions).
+//   * gale_shapley_scan_simd — the same walk with the vectorized
+//     first-of-pair kernel (gs/simd.hpp): 8 entries per AVX2 step,
+//     runtime-dispatched, falling back to SSE2/scalar. Identical scan
+//     semantics (earliest hit wins), so identical everything.
 #pragma once
 
 #include "gs/gale_shapley.hpp"
@@ -39,16 +26,5 @@ GsResult gale_shapley_scan(const KPartiteInstance& inst, Gender i, Gender j);
 /// identical to gale_shapley_scan and gale_shapley_queue.
 GsResult gale_shapley_scan_simd(const KPartiteInstance& inst, Gender i,
                                 Gender j);
-
-/// Prefetch-pipelined queue GS over the compact rank layout. Into-style:
-/// scratch in `workspace`, outcome overwrites `result` (zero heap
-/// allocations once both are warm, same contract as gale_shapley_queue).
-void gale_shapley_prefetch(const KPartiteInstance& inst, Gender i, Gender j,
-                           const GsOptions& options, GsWorkspace& workspace,
-                           GsResult& result);
-
-/// Convenience overload with owned scratch state.
-GsResult gale_shapley_prefetch(const KPartiteInstance& inst, Gender i,
-                               Gender j, const GsOptions& options = {});
 
 }  // namespace kstable::gs

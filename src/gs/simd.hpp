@@ -51,16 +51,6 @@ enum class Isa : std::uint8_t { scalar, sse2, avx2 };
   return "unknown";
 }
 
-/// Read-mostly software prefetch with low temporal locality: rank rows are
-/// touched twice per proposal and then usually not again for a long time.
-inline void prefetch_ro(const void* p) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);
-#else
-  (void)p;
-#endif
-}
-
 // ---------------------------------------------------------------- scalar --
 
 /// Position of the first entry of `row[0..len)` equal to `a` or `b`, or

@@ -3,6 +3,7 @@
 #include <span>
 #include <vector>
 
+#include "gs/propose_loop.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -26,59 +27,6 @@ std::span<const Index> old_row_of(const KPartiteInstance& inst,
   return inst.pref_row(m, g);
 }
 
-/// The seeded queue-loop continuation, monomorphized on the rank width like
-/// the cold engines. Identical proposal mechanics to gale_shapley_queue's
-/// loop; the only difference is that match arrays, next_choice, and the free
-/// stack arrive pre-seeded from the closure instead of all-free.
-template <typename R>
-void warm_loop(const KPartiteInstance& inst, Gender i, Gender j,
-               const gs::GsOptions& options, std::vector<Index>& next_choice,
-               std::vector<Index>& free_stack, gs::GsResult& result) {
-  Index* const proposer_match = result.proposer_match.data();
-  Index* const responder_match = result.responder_match.data();
-  Index* const next = next_choice.data();
-  const Index* const pref = inst.pref_row({i, 0}, j).data();
-  const R* const rank_table = inst.rank_base<R>();
-  const std::size_t stride = static_cast<std::size_t>(inst.genders() - 1) *
-                             static_cast<std::size_t>(inst.per_gender());
-  const std::size_t resp_base = inst.row_base({j, 0}, i);
-
-  while (!free_stack.empty()) {
-    const Index p = free_stack.back();
-    free_stack.pop_back();
-    const Index* const list = pref + static_cast<std::size_t>(p) * stride;
-    // Same pigeonhole as the cold engine: a proposer can never be displaced
-    // off the end of its list (responders once matched stay matched), and
-    // warm seeding preserves that invariant.
-    KSTABLE_ASSERT(next[static_cast<std::size_t>(p)] < inst.per_gender());
-    const Index r =
-        list[static_cast<std::size_t>(next[static_cast<std::size_t>(p)]++)];
-    ++result.proposals;
-    if (options.control != nullptr) options.control->charge();
-
-    const Index holder = responder_match[static_cast<std::size_t>(r)];
-    const R* const ranks =
-        rank_table + resp_base + static_cast<std::size_t>(r) * stride;
-    gs::ProposalEvent event{p, r, false, -1};
-    if (holder < 0) {
-      responder_match[static_cast<std::size_t>(r)] = p;
-      proposer_match[static_cast<std::size_t>(p)] = r;
-      event.accepted = true;
-    } else if (ranks[static_cast<std::size_t>(p)] <
-               ranks[static_cast<std::size_t>(holder)]) {
-      responder_match[static_cast<std::size_t>(r)] = p;
-      proposer_match[static_cast<std::size_t>(p)] = r;
-      proposer_match[static_cast<std::size_t>(holder)] = -1;
-      free_stack.push_back(holder);
-      event.accepted = true;
-      event.displaced = holder;
-    } else {
-      free_stack.push_back(p);
-    }
-    if (options.trace != nullptr) options.trace->push_back(event);
-  }
-}
-
 }  // namespace
 
 gs::GsResult warm_gale_shapley(const KPartiteInstance& inst, Gender i,
@@ -87,10 +35,8 @@ gs::GsResult warm_gale_shapley(const KPartiteInstance& inst, Gender i,
                                const gs::GsOptions& options,
                                WarmGsStats* stats) {
   const WallTimer timer;
-  const Gender k = inst.genders();
   const Index n = inst.per_gender();
-  KSTABLE_REQUIRE(i >= 0 && i < k && j >= 0 && j < k && i != j,
-                  "warm GS(" << i << ',' << j << ") out of range, k=" << k);
+  gs::detail::check_genders(inst, i, j);
   KSTABLE_REQUIRE(
       previous.proposer_gender == i && previous.responder_gender == j,
       "previous result is for GS(" << previous.proposer_gender << ','
@@ -212,12 +158,9 @@ gs::GsResult warm_gale_shapley(const KPartiteInstance& inst, Gender i,
   // partner is clean (rule 3 dirties the inclusive prefix), so clean pairs
   // re-form exactly and dirty responders start unmatched.
   gs::GsResult result;
-  result.proposer_gender = i;
-  result.responder_gender = j;
-  result.proposer_match.assign(static_cast<std::size_t>(n), Index{-1});
-  result.responder_match.assign(static_cast<std::size_t>(n), Index{-1});
-  std::vector<Index> next_choice(static_cast<std::size_t>(n), Index{0});
-  std::vector<Index> free_stack;
+  gs::detail::reset_result(result, i, j, n);
+  gs::GsWorkspace workspace;
+  workspace.next_choice.assign(static_cast<std::size_t>(n), Index{0});
   WarmGsStats local{};
   for (Index p = 0; p < n; ++p) {
     if (dirty_p[static_cast<std::size_t>(p)] != 0) {
@@ -227,7 +170,7 @@ gs::GsResult warm_gale_shapley(const KPartiteInstance& inst, Gender i,
     const Index r0 = previous.proposer_match[static_cast<std::size_t>(p)];
     result.proposer_match[static_cast<std::size_t>(p)] = r0;
     result.responder_match[static_cast<std::size_t>(r0)] = p;
-    next_choice[static_cast<std::size_t>(p)] =
+    workspace.next_choice[static_cast<std::size_t>(p)] =
         opr[static_cast<std::size_t>(p)] + 1;
   }
   for (Index r = 0; r < n; ++r) {
@@ -236,36 +179,20 @@ gs::GsResult warm_gale_shapley(const KPartiteInstance& inst, Gender i,
   // Descending push so pops ascend by index, matching the cold engine's
   // order (any order is correct by confluence; sameness aids debugging).
   for (Index p = n - 1; p >= 0; --p) {
-    if (dirty_p[static_cast<std::size_t>(p)] != 0) free_stack.push_back(p);
+    if (dirty_p[static_cast<std::size_t>(p)] != 0) {
+      workspace.free_list.push_back(p);
+    }
   }
-  if (options.trace != nullptr) {
-    options.trace->reserve(options.trace->size() +
-                           static_cast<std::size_t>(n) *
-                               static_cast<std::size_t>(n));
-  }
+  gs::detail::reserve_trace(options, n);
 
-  if (inst.rank_width() == prefs::RankWidth::narrow16) {
-    warm_loop<std::uint16_t>(inst, i, j, options, next_choice, free_stack,
-                             result);
-  } else {
-    warm_loop<std::uint32_t>(inst, i, j, options, next_choice, free_stack,
-                             result);
-  }
-  result.rounds = result.proposals;
+  // The cold queue engine's schedule and accept, started from the closure.
+  prefs::with_pref_view(inst, i, j, [&](const auto view) {
+    gs::propose_loop<gs::StackSchedule, gs::RankAccept>(view, n, options,
+                                                        workspace, result);
+  });
   result.engine = "gs.warm";
   result.wall_ms = timer.millis();
-
-  // Same perfect-matching postcondition as the cold engines.
-  for (Index p = 0; p < n; ++p) {
-    KSTABLE_ENSURE(result.proposer_match[static_cast<std::size_t>(p)] >= 0,
-                   "warm restart left proposer " << p << " unmatched");
-  }
-  for (Index r = 0; r < n; ++r) {
-    const Index p = result.responder_match[static_cast<std::size_t>(r)];
-    KSTABLE_ENSURE(p >= 0, "warm restart left responder " << r << " unmatched");
-    KSTABLE_ENSURE(result.proposer_match[static_cast<std::size_t>(p)] == r,
-                   "warm restart match arrays inconsistent at responder " << r);
-  }
+  gs::detail::finish(inst, result);
   if (stats != nullptr) *stats = local;
   return result;
 }

@@ -6,8 +6,9 @@
 // independent of proposal order) plus a replay argument: the previous
 // execution, filtered down to the proposers the delta did NOT disturb, is a
 // valid GS execution prefix on the NEW instance — so seeding the engine with
-// that prefix's state and running the ordinary queue loop to quiescence
-// reaches the new instance's proposer-optimal matching bit for bit.
+// that prefix's state and running the queue engine's propose loop
+// (gs/propose_loop.hpp, StackSchedule) to quiescence reaches the new
+// instance's proposer-optimal matching bit for bit.
 //
 // "Disturbed" is computed as a closure, not just the mutated rows. Dirty
 // seeds: proposers whose list over j changed (P0) and responders whose list

@@ -39,8 +39,8 @@ struct PhaseTiming {
 };
 
 struct SolveTelemetry {
-  /// Static-lifetime engine label: "gs.queue", "gs.rounds", "gs.parallel",
-  /// "binding", "binding.parallel", "binding.priority", "roommates",
+  /// Static-lifetime engine label: "gs.queue", "gs.rounds",
+  /// "binding.queue", "binding.rounds", "binding.priority", "roommates",
   /// "ladder", "batch.item".
   const char* engine = "";
 

@@ -1,21 +1,21 @@
-// PrefView: the per-backend preference accessors the GS engines monomorphize
-// on (docs/PERFORMANCE.md §Implicit preferences).
+// PrefView: the per-backend preference accessors the GS propose kernel
+// (gs/propose_loop.hpp) monomorphizes on (docs/PERFORMANCE.md §Implicit
+// preferences).
 //
-// The engines' hot loops need exactly four operations for one oriented
-// gender pair (i proposes to j):
+// The kernel needs exactly four operations for one oriented gender pair
+// (i proposes to j):
 //
 //   pref_at(p, c)        — proposer p's c-th choice
-//   resp_row(r)          — a hoisted handle for responder r's rank row
+//   resp_row(r)          — a hoisted handle for responder r's rows
 //   rank_in(row, p)      — p's rank with responder r (the accept/reject load)
-//   resp_pref_in(row, c) — responder r's c-th choice (scan engines only)
+//   resp_pref_in(row, c) — responder r's c-th choice (scan accept only)
 //
-// ExplicitView<R> implements them as the raw-pointer arithmetic the engines
-// used to inline directly (one row-base multiply per proposal, typed rank
-// loads, real software prefetches) — the explicit backend keeps its
-// zero-overhead path, checked by the E19 baseline gate. ImplicitView
-// implements them as O(1) generator evaluations (prefs/implicit/feistel.hpp)
-// with no-op prefetches (there is no memory to warm). with_pref_view()
-// performs the one dispatch per solve; everything inside is monomorphized.
+// ExplicitView<R> implements them as raw-pointer arithmetic over the arena
+// tables (one row-base multiply per proposal, typed rank loads) — the
+// explicit backend keeps its zero-overhead path, checked by the E19 baseline
+// gate. ImplicitView implements them as O(1) generator evaluations
+// (prefs/implicit/feistel.hpp). with_pref_view() performs the one dispatch
+// per solve; everything inside is monomorphized.
 #pragma once
 
 #include <span>
@@ -24,25 +24,14 @@
 
 namespace kstable::prefs {
 
-/// Read-mostly prefetch (mirrors gs/simd.hpp's prefetch_ro; duplicated here
-/// so the prefs layer stays below gs in the dependency order).
-inline void view_prefetch_ro(const void* p) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);
-#else
-  (void)p;
-#endif
-}
-
 /// Arena-table view, monomorphized on the stored rank type R. Construction
-/// hoists the three row bases the old engine code computed inline; all
-/// accessors compile to the identical loads.
+/// hoists the three row bases; every accessor is one typed load.
 template <typename R>
 class ExplicitView {
  public:
   using Rank = R;
   /// Hoisted responder row: the rank row for the accept/reject compare plus
-  /// the pref row for the scan engines' list walks.
+  /// the pref row for the scan accept's list walks.
   struct RespRow {
     const R* ranks;
     const Index* prefs;
@@ -81,14 +70,6 @@ class ExplicitView {
             static_cast<std::size_t>(n)};
   }
 
-  void prefetch_pref(Index p, Index c) const noexcept {
-    view_prefetch_ro(pref_ + static_cast<std::size_t>(p) * stride_ +
-                     static_cast<std::size_t>(c));
-  }
-  static void prefetch_rank(const RespRow& row, Index p) noexcept {
-    view_prefetch_ro(row.ranks + static_cast<std::size_t>(p));
-  }
-
  private:
   const Index* pref_;       ///< pref row base of proposer (i, 0) over j
   const Index* resp_pref_;  ///< pref row base of responder (j, 0) over i
@@ -97,7 +78,7 @@ class ExplicitView {
 };
 
 /// Generator view: every accessor is an O(1) Feistel evaluation. resp_row
-/// derives the responder's round keys once per proposal — the implicit
+/// derives the responder's round keys once per compare — the implicit
 /// analogue of hoisting the rank-row pointer — and rank_in is then a pure
 /// PRP inversion. Ranks surface as uint32_t (any rank < n fits).
 class ImplicitView {
@@ -121,9 +102,6 @@ class ImplicitView {
   [[nodiscard]] Index resp_pref_in(const RespRow& row, Index c) const noexcept {
     return gen_->pref_in(row, c);
   }
-
-  static void prefetch_pref(Index, Index) noexcept {}
-  static void prefetch_rank(const RespRow&, Index) noexcept {}
 
  private:
   const imp::ImplicitPrefs* gen_;

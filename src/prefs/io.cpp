@@ -1,10 +1,12 @@
 #include "prefs/io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <vector>
 
+#include "prefs/arena.hpp"
 #include "resilience/errors.hpp"
 #include "resilience/fault_injection.hpp"
 #include "util/check.hpp"
@@ -26,6 +28,35 @@ std::optional<std::string> next_line(std::istream& is) {
     if (line.find_first_not_of(" \t\r") != std::string::npos) return line;
   }
   return std::nullopt;
+}
+
+/// Fewest bytes the pref lines of any v1 encoding of a (k, n) instance can
+/// take: k·n·(k−1) lines, each at least "pref g i h:" (11 bytes) followed by
+/// the n distinct indices 0..n-1, each with one leading separator. Throws
+/// ParseError when the count overflows (no such body can exist).
+std::size_t min_pref_bytes(Gender k, Index n) {
+  const auto members = static_cast<std::size_t>(n);
+  std::size_t digits = 0;  // decimal digits of 0..n-1
+  for (std::size_t first = 0, next = 10, width = 1; first < members;
+       first = next, next *= 10, ++width) {
+    digits += (std::min(next, members) - first) * width;
+  }
+  const std::size_t lines = prefs::checked_mul(
+      prefs::checked_mul(static_cast<std::size_t>(k), members),
+      static_cast<std::size_t>(k - 1));
+  return prefs::checked_mul(lines, 11 + members + digits);
+}
+
+/// Bytes left in a seekable stream, or nullopt (pipes, sockets).
+std::optional<std::size_t> remaining_bytes(std::istream& is) {
+  if (is.eof()) return 0;  // the dimensions line ended the stream
+  const auto here = is.tellg();
+  if (here < 0) return std::nullopt;
+  is.seekg(0, std::ios::end);
+  const auto end = is.tellg();
+  is.seekg(here);
+  if (end < here) return std::nullopt;
+  return static_cast<std::size_t>(end - here);
 }
 
 }  // namespace
@@ -66,6 +97,16 @@ KPartiteInstance load(std::istream& is) {
     KSTABLE_PARSE_REQUIRE(!ds.fail(), "bad dimensions line '" << *dims << "'");
     KSTABLE_PARSE_REQUIRE(k >= 2 && n >= 1,
                           "dimensions out of range: k=" << k << " n=" << n);
+  }
+  // The arena for (k, n) is sized from the dimensions line alone, so a tiny
+  // body with a large header would otherwise commit gigabytes before the
+  // line count check fails. Refuse any body too short to hold the lines.
+  if (const auto left = remaining_bytes(is)) {
+    const std::size_t needed = min_pref_bytes(k, n);
+    KSTABLE_PARSE_REQUIRE(*left >= needed,
+                          "body has " << *left << " bytes after the "
+                                      << "dimensions line; k=" << k << " n="
+                                      << n << " needs at least " << needed);
   }
   KPartiteInstance inst = [&] {
     try {

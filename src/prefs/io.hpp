@@ -18,6 +18,9 @@ namespace kstable::io {
 void save(const KPartiteInstance& inst, std::ostream& os);
 
 /// Parses a v1 text instance; throws ContractViolation on malformed input.
+/// On a seekable stream (files, strings) a body too short to encode its
+/// dimensions line is rejected with ParseError before the instance is
+/// allocated, so memory stays proportional to the input size.
 KPartiteInstance load(std::istream& is);
 
 /// Convenience wrappers over save/load using files.

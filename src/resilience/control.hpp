@@ -10,11 +10,11 @@
 // attached control costs one relaxed fetch_add plus two predictable branches
 // (the proposal-budget compare — plain arithmetic on the fetch_add result —
 // and the stride test); the cancellation token and the wall clock are only
-// consulted every kClockStride charged units (amortized checking), so
-// guarded engines show no measurable regression on the E1/E9 benchmarks. A
-// requested cancellation is therefore observed within at most kClockStride
-// charged units on the amortized path; check_now() stays unamortized — it
-// always consults the token, the proposal budget, and the clock — so coarse
+// consulted every kClockStride charged units (amortized checking); the E9
+// benchmark measures what the charge still costs (docs/RESILIENCE.md). A
+// requested cancellation is observed within at most kClockStride charged
+// units on the amortized path; check_now() stays unamortized — it always
+// consults the token, the proposal budget, and the clock — so coarse
 // checkpoints (per binding edge, per parallel round, cache waiters) keep
 // prompt abort latency. ExecControl is thread-safe: the parallel executors
 // share one control across pool workers.

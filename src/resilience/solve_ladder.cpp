@@ -110,8 +110,7 @@ FallbackReport solve_with_fallback(const KPartiteInstance& inst,
   const bool speculate = options.speculative && options.pool != nullptr &&
                          !ThreadPool::in_worker_thread() &&
                          options.pool->thread_count() > 1 &&
-                         options.max_tree_attempts > 1 &&
-                         options.engine != core::GsEngine::parallel;
+                         options.max_tree_attempts > 1;
   if (speculate) {
     // Race the strict rungs: first_stable fold = lowest-indexed candidate to
     // succeed within its backoff-scaled budget, which is the sequential

@@ -9,7 +9,6 @@
 #include "core/gs_cache.hpp"
 #include "core/tree_sweep.hpp"
 #include "graph/binding_structure.hpp"
-#include "gs/parallel_gs.hpp"
 #include "gs/scan_gs.hpp"
 #include "incremental/mutation.hpp"
 #include "incremental/rematch.hpp"
@@ -89,11 +88,10 @@ std::string describe_diff(const std::vector<Index>& expected,
 
 /// GS engine cross-checks for one ordered gender pair. The queue engine is
 /// the reference; every other engine must reproduce its match arrays bitwise
-/// (GS confluence), and the sequential engines must also agree on the
-/// proposal count (each proposer walks exactly the prefix of its list down
-/// to its final partner, independent of order — the parallel engine's
-/// speculative proposals are exempt). Returns the reference result so the
-/// bipartite fair-SMP check can reuse it.
+/// (GS confluence) and agree on the proposal count (each proposer walks
+/// exactly the prefix of its list down to its final partner, independent of
+/// order). Returns the reference result so the bipartite fair-SMP check can
+/// reuse it.
 gs::GsResult gs_engine_checks(const KPartiteInstance& inst, Gender i, Gender j,
                               const Recorder& rec,
                               const DiffOptions& options) {
@@ -101,7 +99,7 @@ gs::GsResult gs_engine_checks(const KPartiteInstance& inst, Gender i, Gender j,
   rec.cert(check_gs_certificate(inst, i, j, reference), "gs.queue.cert");
 
   auto compare = [&](const gs::GsResult& other, const char* id_bits,
-                     bool check_proposals, const char* id_props) {
+                     const char* id_props) {
     const bool bits_ok = other.proposer_match == reference.proposer_match &&
                          other.responder_match == reference.responder_match;
     std::ostringstream os;
@@ -115,43 +113,30 @@ gs::GsResult gs_engine_checks(const KPartiteInstance& inst, Gender i, Gender j,
                                  other.proposer_match));
     }
     rec.check(bits_ok, id_bits, os.str());
-    if (check_proposals) {
-      std::ostringstream ps;
-      ps << "GS(" << i << "," << j << "): " << reference.engine << " made "
-         << reference.proposals << " proposals, " << other.engine << " made "
-         << other.proposals;
-      rec.check(other.proposals == reference.proposals, id_props, ps.str());
-    }
+    std::ostringstream ps;
+    ps << "GS(" << i << "," << j << "): " << reference.engine << " made "
+       << reference.proposals << " proposals, " << other.engine << " made "
+       << other.proposals;
+    rec.check(other.proposals == reference.proposals, id_props, ps.str());
   };
 
   compare(gs::gale_shapley_rounds(inst, i, j), "gs.engine.rounds.bitwise",
-          true, "gs.engine.rounds.proposals");
+          "gs.engine.rounds.proposals");
 
   auto scan = gs::gale_shapley_scan(inst, i, j);
   if (options.sabotage == Sabotage::gs_swap && i == 0 && j == 1) {
     sabotage_gs_result(scan);
   }
-  compare(scan, "gs.engine.scan.bitwise", true, "gs.engine.scan.proposals");
-
+  compare(scan, "gs.engine.scan.bitwise", "gs.engine.scan.proposals");
   compare(gs::gale_shapley_scan_simd(inst, i, j),
-          "gs.engine.scan_simd.bitwise", true,
-          "gs.engine.scan_simd.proposals");
-  compare(gs::gale_shapley_prefetch(inst, i, j),
-          "gs.engine.prefetch.bitwise", true,
-          "gs.engine.prefetch.proposals");
-
-  if (options.pool != nullptr) {
-    compare(gs::gale_shapley_parallel(inst, i, j, *options.pool, 8),
-            "gs.engine.parallel.bitwise", false, "");
-  }
+          "gs.engine.scan_simd.bitwise", "gs.engine.scan_simd.proposals");
   return reference;
 }
 
 /// Memory-layout agreement: the same instance re-laid at the other rank
 /// width (prefs/compact_ranks.hpp) must stay semantically equal and must
-/// produce bitwise-identical solves from both the scalar queue engine and
-/// the width-monomorphized prefetch engine — rank width is a layout choice,
-/// never a semantic one.
+/// produce bitwise-identical solves from the width-monomorphized queue
+/// engine — rank width is a layout choice, never a semantic one.
 void layout_checks(const KPartiteInstance& inst, const Recorder& rec) {
   const auto other = inst.rank_width() == prefs::RankWidth::narrow16
                          ? prefs::RankWidth::wide32
@@ -183,21 +168,18 @@ void layout_checks(const KPartiteInstance& inst, const Recorder& rec) {
   compare_widths(gs::gale_shapley_queue(inst, 0, 1),
                  gs::gale_shapley_queue(relaid, 0, 1),
                  "layout.width.queue.bitwise");
-  compare_widths(gs::gale_shapley_prefetch(inst, 0, 1),
-                 gs::gale_shapley_prefetch(relaid, 0, 1),
-                 "layout.width.prefetch.bitwise");
 }
 
 /// Implicit-backend cross-checks (docs/PERFORMANCE.md §Implicit
 /// preferences). An implicit instance derived from the battery's replay seed
 /// is materialized into explicit tables; the generator and the tables must
-/// then be indistinguishable to every consumer: bitwise-equal matchings,
-/// identical proposal counts AND identical proposal traces from every
-/// sequential engine (the strongest confluence pin: not just the same fixed
-/// point, the same path to it), rank_of inverting pref_at exactly, and the
+/// then be indistinguishable to every consumer: bitwise-equal matchings and
+/// identical proposal counts from every engine, identical queue traces (the
+/// strongest confluence pin: not just the same fixed point, the same path to
+/// it), rank_of inverting pref_at exactly, and the
 /// binding/ladder layers agreeing across backends. Runs for both generator
 /// families so the Feistel path and the closed-form path are each pinned.
-void implicit_checks(const Recorder& rec, const DiffOptions& options) {
+void implicit_checks(const Recorder& rec) {
   const Gender k = rec.k;
   const Index n = rec.n;
   for (const auto family :
@@ -254,7 +236,7 @@ void implicit_checks(const Recorder& rec, const DiffOptions& options) {
         const auto explicit_ref = gs::gale_shapley_queue(wide, i, j, topt);
 
         auto compare = [&](const gs::GsResult& other, const char* id_bits,
-                           bool check_proposals, const char* id_props) {
+                           const char* id_props) {
           const bool bits_ok =
               other.proposer_match == reference.proposer_match &&
               other.responder_match == reference.responder_match;
@@ -270,36 +252,26 @@ void implicit_checks(const Recorder& rec, const DiffOptions& options) {
                                        other.proposer_match));
           }
           rec.check(bits_ok, id_bits, os.str());
-          if (check_proposals) {
-            std::ostringstream ps;
-            ps << fam << ": GS(" << i << "," << j << "): implicit queue made "
-               << reference.proposals << " proposals, " << other.engine
-               << " made " << other.proposals;
-            rec.check(other.proposals == reference.proposals, id_props,
-                      ps.str());
-          }
+          std::ostringstream ps;
+          ps << fam << ": GS(" << i << "," << j << "): implicit queue made "
+             << reference.proposals << " proposals, " << other.engine
+             << " made " << other.proposals;
+          rec.check(other.proposals == reference.proposals, id_props,
+                    ps.str());
         };
 
-        compare(explicit_ref, "implicit.queue.bitwise", true,
+        compare(explicit_ref, "implicit.queue.bitwise",
                 "implicit.queue.proposals");
         rec.check(trace_imp == trace_exp, "implicit.queue.trace",
                   std::string(fam) +
                       ": implicit and materialized queue solves emitted "
                       "different proposal traces");
         compare(gs::gale_shapley_rounds(implicit, i, j),
-                "implicit.rounds.bitwise", true, "implicit.rounds.proposals");
-        compare(gs::gale_shapley_prefetch(implicit, i, j),
-                "implicit.prefetch.bitwise", true,
-                "implicit.prefetch.proposals");
+                "implicit.rounds.bitwise", "implicit.rounds.proposals");
         compare(gs::gale_shapley_scan(implicit, i, j),
-                "implicit.scan.bitwise", true, "implicit.scan.proposals");
+                "implicit.scan.bitwise", "implicit.scan.proposals");
         compare(gs::gale_shapley_scan_simd(implicit, i, j),
-                "implicit.scan_simd.bitwise", true,
-                "implicit.scan_simd.proposals");
-        if (options.pool != nullptr) {
-          compare(gs::gale_shapley_parallel(implicit, i, j, *options.pool, 8),
-                  "implicit.parallel.bitwise", false, "");
-        }
+                "implicit.scan_simd.bitwise", "implicit.scan_simd.proposals");
       }
     }
 
@@ -393,16 +365,13 @@ void binding_checks(const KPartiteInstance& inst, const Recorder& rec,
     }
   }
 
-  for (const auto policy : {core::GsEdgeCache::Policy::single_flight,
-                            core::GsEdgeCache::Policy::duplicate}) {
-    core::GsEdgeCache cache(k, policy);
+  {
+    core::GsEdgeCache cache(k);
     core::BindingOptions copts;
     copts.cache = &cache;
-    const char* id = policy == core::GsEdgeCache::Policy::single_flight
-                         ? "binding.cache.single_flight.bitwise"
-                         : "binding.cache.duplicate.bitwise";
     const auto cached = core::iterative_binding(inst, path, copts);
-    compare_matching(cached.matching(), id, "cached binding");
+    compare_matching(cached.matching(), "binding.cache.single_flight.bitwise",
+                     "cached binding");
     // Second pass replays every edge from the memo (all hits) — the replay
     // must still be bitwise-identical and must execute zero proposals.
     const auto replay = core::iterative_binding(inst, path, copts);
@@ -570,8 +539,8 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
 
     {  // Pure-provider path (no cache): every engine's cold fallback must
        // not matter — reused + warm answers cover the whole tree.
-      for (const auto engine : {core::GsEngine::queue, core::GsEngine::rounds,
-                                core::GsEngine::prefetch}) {
+      for (const auto engine :
+           {core::GsEngine::queue, core::GsEngine::rounds}) {
         incremental::RematchOptions ropts;
         ropts.engine = engine;
         const auto warm = incremental::rematch(inst, path, previous, delta,
@@ -748,7 +717,7 @@ BatteryResult run_battery(const KPartiteInstance& inst, Shape shape,
   }
 
   layout_checks(inst, rec);
-  implicit_checks(rec, options);
+  implicit_checks(rec);
   binding_checks(inst, rec, options);
   if (options.churn_steps > 0) churn_checks(inst, rec, options);
 

@@ -6,11 +6,11 @@
 //
 //   bitwise agreement (GS is confluent; the caches and the ladder are
 //   documented as semantically invisible):
-//     * gs queue vs rounds vs scan vs parallel — identical match arrays AND
+//     * gs queue vs rounds vs scan vs scan_simd — identical match arrays AND
 //       identical proposal counts for every ordered gender pair;
 //     * iterative_binding vs sweep_trees on the same (path) tree;
-//     * binding with no cache vs GsEdgeCache single_flight vs duplicate,
-//       including a second cached pass (all hits) — replay must equal compute;
+//     * binding with no cache vs a single-flight GsEdgeCache, including a
+//       second cached pass (all hits) — replay must equal compute;
 //     * direct path-tree binding vs solve_with_fallback (attempt 0 is always
 //       the path tree, so an unconstrained ladder must reproduce it exactly);
 //     * fair SMP man_oriented vs men-proposing GS and woman_oriented vs
@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "gs/gale_shapley.hpp"
-#include "parallel/thread_pool.hpp"
 #include "prefs/matching.hpp"
 #include "verify/instance_gen.hpp"
 
@@ -62,9 +61,6 @@ enum class Sabotage {
 std::optional<Sabotage> parse_sabotage(std::string_view text);
 
 struct DiffOptions {
-  /// Workers for the parallel GS engine leg; nullptr skips that comparison
-  /// (the sequential battery is pool-free so ASan/CI sweeps stay cheap).
-  ThreadPool* pool = nullptr;
   Sabotage sabotage = Sabotage::none;
   /// Incremental re-stabilization legs (src/incremental/): apply this many
   /// seeded random preference mutations to a copy of the instance and, after

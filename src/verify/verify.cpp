@@ -1,12 +1,10 @@
 #include "verify/verify.hpp"
 
-#include <memory>
 #include <ostream>
 #include <sstream>
 
 #include "observability/metrics.hpp"
 #include "observability/telemetry.hpp"
-#include "parallel/thread_pool.hpp"
 #include "prefs/io.hpp"
 #include "util/timer.hpp"
 #include "verify/cert_checker.hpp"
@@ -33,12 +31,7 @@ VerifySummary run_verification(const VerifyOptions& options) {
   WallTimer timer;
   VerifySummary summary;
 
-  std::unique_ptr<ThreadPool> pool;
-  if (options.pool_threads > 0) {
-    pool = std::make_unique<ThreadPool>(options.pool_threads);
-  }
   DiffOptions diff;
-  diff.pool = pool.get();
   diff.sabotage = options.sabotage;
   diff.churn_steps = options.churn_steps;
 

@@ -35,8 +35,6 @@ struct VerifyOptions {
   GenOptions gen;                 ///< size/distribution knobs (shape is
                                   ///< overridden per sweep entry)
   Sabotage sabotage = Sabotage::none;  ///< self-test corruption
-  /// Workers for the parallel-GS leg; 0 = skip that comparison.
-  std::size_t pool_threads = 0;
   /// Preference-churn steps per instance (DiffOptions::churn_steps): each
   /// step mutates the instance and asserts the incremental rematch pipeline
   /// agrees with a cold solve bitwise. 0 = skip the churn legs.

@@ -182,10 +182,6 @@ TEST(BatchSolver, ContractChecksOnOptions) {
   const auto instances = make_batch();
   ThreadPool pool(2);
   BatchSolver solver(pool);
-  BatchOptions parallel_engine;
-  parallel_engine.engine = GsEngine::parallel;
-  EXPECT_THROW(solver.solve(instances, parallel_engine), ContractViolation);
-
   BatchOptions short_budgets;
   short_budgets.per_item_budgets.resize(2);  // batch has more items
   EXPECT_THROW(solver.solve(instances, short_budgets), ContractViolation);

@@ -5,8 +5,14 @@
 // against their scalar references.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <new>
+#include <string>
 #include <vector>
 
 #include "graph/binding_structure.hpp"
@@ -16,10 +22,33 @@
 #include "prefs/arena.hpp"
 #include "prefs/compact_ranks.hpp"
 #include "prefs/generators.hpp"
+#include "prefs/io.hpp"
 #include "prefs/kpartite.hpp"
 #include "resilience/errors.hpp"
 #include "util/rng.hpp"
 #include "verify/diff_runner.hpp"
+
+namespace {
+/// Bytes requested through the aligned operator new, the arena slab's only
+/// allocation path: lets the parser tests prove no slab was carved.
+std::atomic<std::size_t> g_aligned_bytes{0};
+}  // namespace
+
+void* operator new(std::size_t size, std::align_val_t align) {
+  g_aligned_bytes.fetch_add(size, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler cannot pair an inlined free() with the
+// library's aligned operator new and warn about a mismatch.
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace kstable {
 namespace {
@@ -173,6 +202,58 @@ TEST(ArenaSizing, CopyAndMovePreserveContents) {
   EXPECT_EQ(a.proposer_match, b.proposer_match);
 }
 
+/// Aligned bytes allocated while running `fn`.
+template <typename Fn>
+std::size_t aligned_bytes_during(Fn&& fn) {
+  const std::size_t before = g_aligned_bytes.load(std::memory_order_relaxed);
+  fn();
+  return g_aligned_bytes.load(std::memory_order_relaxed) - before;
+}
+
+TEST(ArenaSizing, ShortBodyIsRejectedBeforeTheArenaIsAllocated) {
+  // 28 bytes whose dimensions line asks for a ~1.6 GB arena: the parser
+  // must refuse it from the body length alone, with or without the final
+  // newline, through both the string and the file entry points.
+  for (const std::string body :
+       {"kstable-kpartite v1\n2 12000\n", "kstable-kpartite v1\n2 12000"}) {
+    const std::size_t allocated = aligned_bytes_during([&] {
+      EXPECT_THROW((void)io::from_string(body), ParseError);
+    });
+    EXPECT_EQ(allocated, 0u) << "arena allocated for '" << body << "'";
+  }
+  const std::string path = ::testing::TempDir() + "kstable_short_body.kp";
+  {
+    std::ofstream os(path);
+    os << "kstable-kpartite v1\n2 12000\n";
+  }
+  const std::size_t allocated = aligned_bytes_during(
+      [&] { EXPECT_THROW((void)io::load_file(path), ParseError); });
+  EXPECT_EQ(allocated, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(ArenaSizing, MinimumEncodingStillParses) {
+  // The check is a lower bound, not a heuristic: the tightest legal
+  // encoding (no spaces before ':', single spaces elsewhere) still loads.
+  Rng rng(1205);
+  const auto inst = gen::uniform(2, 12, rng);
+  std::string text = "kstable-kpartite v1\n2 12\n";
+  for (Gender g = 0; g < 2; ++g) {
+    for (Index i = 0; i < 12; ++i) {
+      const Gender h = 1 - g;
+      text += "pref " + std::to_string(g) + ' ' + std::to_string(i) + ' ' +
+              std::to_string(h) + ':';
+      for (const Index idx : inst.pref_list({g, i}, h)) {
+        text += ' ' + std::to_string(idx);
+      }
+      text += '\n';
+    }
+  }
+  text.pop_back();  // no trailing newline either
+  EXPECT_EQ(io::from_string(text), inst);
+  EXPECT_GT(aligned_bytes_during([&] { (void)io::from_string(text); }), 0u);
+}
+
 // ------------------------------------------------------- width agreement --
 
 TEST(WidthAgreement, RelaidInstanceIsSemanticallyEqual) {
@@ -206,11 +287,6 @@ TEST(WidthAgreement, AllSequentialEnginesBitwiseIdenticalAcrossWidths) {
       const auto r32 = gs::gale_shapley_rounds(wide, edge.a, edge.b);
       EXPECT_EQ(r16.proposer_match, r32.proposer_match);
       EXPECT_EQ(r16.rounds, r32.rounds);
-      const auto p16 = gs::gale_shapley_prefetch(narrow, edge.a, edge.b);
-      const auto p32 = gs::gale_shapley_prefetch(wide, edge.a, edge.b);
-      EXPECT_EQ(p16.proposer_match, p32.proposer_match);
-      EXPECT_EQ(p16.responder_match, q16.responder_match);
-      EXPECT_EQ(p32.proposals, q16.proposals);
     }
   }
 }

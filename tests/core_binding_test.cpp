@@ -102,20 +102,8 @@ TEST(IterativeBinding, EnginesProduceIdenticalMatchings) {
   const auto tree = prufer::random_tree(4, rng);
   const auto queue = iterative_binding(inst, tree, {GsEngine::queue, nullptr});
   const auto rounds = iterative_binding(inst, tree, {GsEngine::rounds, nullptr});
-  ThreadPool pool(3);
-  const auto parallel =
-      iterative_binding(inst, tree, {GsEngine::parallel, &pool});
   EXPECT_EQ(queue.matching(), rounds.matching());
-  EXPECT_EQ(queue.matching(), parallel.matching());
   EXPECT_EQ(queue.total_proposals, rounds.total_proposals);
-}
-
-TEST(IterativeBinding, ParallelEngineRequiresPool) {
-  Rng rng(231);
-  const auto inst = gen::uniform(3, 2, rng);
-  EXPECT_THROW(
-      iterative_binding(inst, trees::path(3), {GsEngine::parallel, nullptr}),
-      ContractViolation);
 }
 
 TEST(IterativeBinding, StableMatchingsExistForAllSmallSizes) {

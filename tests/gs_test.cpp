@@ -5,7 +5,6 @@
 #include <tuple>
 
 #include "gs/gale_shapley.hpp"
-#include "gs/parallel_gs.hpp"
 #include "prefs/examples.hpp"
 #include "prefs/generators.hpp"
 #include "util/check.hpp"
@@ -96,12 +95,9 @@ TEST_P(GsPropertyTest, EnginesAgreeAndAreStable) {
 
   const auto queue = gs::gale_shapley_queue(inst, 0, 1);
   const auto rounds = gs::gale_shapley_rounds(inst, 0, 1);
-  ThreadPool pool(4);
-  const auto parallel = gs::gale_shapley_parallel(inst, 0, 1, pool, 8);
 
   // Confluence: the proposer-optimal matching is engine-independent.
   EXPECT_EQ(queue.proposer_match, rounds.proposer_match);
-  EXPECT_EQ(queue.proposer_match, parallel.proposer_match);
   EXPECT_EQ(queue.proposals, rounds.proposals);
 
   EXPECT_TRUE(gs::is_stable_binding(inst, queue));
@@ -154,37 +150,6 @@ TEST(GaleShapley, ProposerOptimalAgainstAllStableMatchings) {
       }
     } while (std::next_permutation(perm.begin(), perm.end()));
   }
-}
-
-TEST(ParallelGs, MatchesSequentialAcrossThreadCountsAndChunks) {
-  Rng rng(90);
-  const auto inst = gen::uniform(2, 64, rng);
-  const auto reference = gs::gale_shapley_queue(inst, 0, 1);
-  for (const std::size_t threads : {1u, 2u, 7u}) {
-    ThreadPool pool(threads);
-    for (const std::size_t chunk : {1u, 3u, 64u, 1024u}) {
-      const auto parallel = gs::gale_shapley_parallel(inst, 0, 1, pool, chunk);
-      EXPECT_EQ(parallel.proposer_match, reference.proposer_match)
-          << "threads=" << threads << " chunk=" << chunk;
-    }
-  }
-}
-
-TEST(ParallelGs, WorksOnNonAdjacentGenderPair) {
-  Rng rng(91);
-  const auto inst = gen::uniform(4, 10, rng);
-  ThreadPool pool(2);
-  const auto parallel = gs::gale_shapley_parallel(inst, 3, 1, pool);
-  const auto reference = gs::gale_shapley_queue(inst, 3, 1);
-  EXPECT_EQ(parallel.proposer_match, reference.proposer_match);
-}
-
-TEST(ParallelGs, RejectsZeroChunk) {
-  Rng rng(92);
-  const auto inst = gen::uniform(2, 4, rng);
-  ThreadPool pool(1);
-  EXPECT_THROW(gs::gale_shapley_parallel(inst, 0, 1, pool, 0),
-               ContractViolation);
 }
 
 TEST(RoundEngine, RoundCountIsReasonable) {

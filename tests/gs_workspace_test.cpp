@@ -12,7 +12,6 @@
 
 #include "core/binding.hpp"
 #include "gs/gale_shapley.hpp"
-#include "gs/scan_gs.hpp"
 #include "prefs/generators.hpp"
 #include "util/rng.hpp"
 
@@ -94,27 +93,6 @@ TEST(GsWorkspace, RoundsEngineZeroAllocationsWhenWarm) {
   }
 }
 
-TEST(GsWorkspace, PrefetchEngineZeroAllocationsWhenWarm) {
-  Rng rng(77);
-  const auto inst = gen::uniform(4, 64, rng);
-  GsWorkspace workspace;
-  GsResult result;
-  const GsOptions options;
-  gale_shapley_prefetch(inst, 0, 1, options, workspace, result);
-
-  for (const GenderEdge edge :
-       {GenderEdge{0, 1}, GenderEdge{2, 3}, GenderEdge{3, 0}}) {
-    const std::int64_t allocs = allocations_during([&] {
-      gale_shapley_prefetch(inst, edge.a, edge.b, options, workspace, result);
-    });
-    EXPECT_EQ(allocs, 0) << "GS(" << edge.a << ',' << edge.b << ") allocated";
-    const auto expected = gale_shapley_queue(inst, edge.a, edge.b);
-    EXPECT_EQ(result.proposer_match, expected.proposer_match);
-    EXPECT_EQ(result.responder_match, expected.responder_match);
-    EXPECT_EQ(result.proposals, expected.proposals);
-  }
-}
-
 TEST(GsWorkspace, ImplicitBackendZeroAllocationsWhenWarm) {
   // The implicit backend must keep the engines' zero-allocation warm-path
   // contract: generator evaluation is pure arithmetic, so a warm solve over
@@ -129,16 +107,11 @@ TEST(GsWorkspace, ImplicitBackendZeroAllocationsWhenWarm) {
 
   for (const GenderEdge edge :
        {GenderEdge{0, 1}, GenderEdge{1, 2}, GenderEdge{2, 0}}) {
-    std::int64_t allocs = allocations_during([&] {
+    const std::int64_t allocs = allocations_during([&] {
       gale_shapley_queue(inst, edge.a, edge.b, options, workspace, result);
     });
     EXPECT_EQ(allocs, 0) << "implicit GS(" << edge.a << ',' << edge.b
                          << ") allocated";
-    allocs = allocations_during([&] {
-      gale_shapley_prefetch(inst, edge.a, edge.b, options, workspace, result);
-    });
-    EXPECT_EQ(allocs, 0) << "implicit prefetch GS(" << edge.a << ','
-                         << edge.b << ") allocated";
     const auto expected = gale_shapley_queue(inst, edge.a, edge.b);
     EXPECT_EQ(result.proposer_match, expected.proposer_match);
     EXPECT_EQ(result.proposals, expected.proposals);
@@ -147,7 +120,7 @@ TEST(GsWorkspace, ImplicitBackendZeroAllocationsWhenWarm) {
 
 TEST(GsWorkspace, ArenaInstancesAllocateNothingPerSolve) {
   // The arena layout concentrates every byte of instance storage in one slab
-  // carved at construction: a warm prefetch solve over a freshly *generated*
+  // carved at construction: a warm queue solve over a freshly *generated*
   // instance still allocates nothing, because reading pref/rank rows never
   // touches the allocator.
   Rng rng(78);
@@ -155,10 +128,10 @@ TEST(GsWorkspace, ArenaInstancesAllocateNothingPerSolve) {
   const auto second = gen::uniform(3, 32, rng);
   GsWorkspace workspace;
   GsResult result;
-  gale_shapley_prefetch(first, 0, 1, {}, workspace, result);
+  gale_shapley_queue(first, 0, 1, {}, workspace, result);
   const std::int64_t allocs = allocations_during([&] {
-    gale_shapley_prefetch(second, 2, 0, {}, workspace, result);
-    gale_shapley_prefetch(first, 1, 2, {}, workspace, result);
+    gale_shapley_queue(second, 2, 0, {}, workspace, result);
+    gale_shapley_queue(first, 1, 2, {}, workspace, result);
   });
   EXPECT_EQ(allocs, 0);
 }

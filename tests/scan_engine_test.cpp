@@ -49,7 +49,6 @@ TEST(ScanEngine, RejectsInvalidArguments) {
   EXPECT_THROW(gale_shapley_scan(inst, 0, 0), ContractViolation);
   EXPECT_THROW(gale_shapley_scan(inst, 0, 7), ContractViolation);
   EXPECT_THROW(gale_shapley_scan_simd(inst, 0, 0), ContractViolation);
-  EXPECT_THROW(gale_shapley_prefetch(inst, 1, 1), ContractViolation);
 }
 
 TEST(SimdScanEngine, MatchesScalarScanOnRandomSweep) {
@@ -64,50 +63,6 @@ TEST(SimdScanEngine, MatchesScalarScanOnRandomSweep) {
     EXPECT_EQ(vec.responder_match, scalar.responder_match);
     EXPECT_EQ(vec.proposals, scalar.proposals);
   }
-}
-
-TEST(PrefetchEngine, MatchesQueueEngineBitwise) {
-  Rng rng(904);
-  for (int trial = 0; trial < 30; ++trial) {
-    const Index n = static_cast<Index>(2 + rng.below(80));
-    const auto inst = gen::uniform(2, n, rng);
-    const auto pre = gale_shapley_prefetch(inst, 0, 1);
-    const auto queue = gale_shapley_queue(inst, 0, 1);
-    EXPECT_EQ(pre.proposer_match, queue.proposer_match)
-        << "n=" << n << " trial=" << trial;
-    EXPECT_EQ(pre.responder_match, queue.responder_match);
-    EXPECT_EQ(pre.proposals, queue.proposals);
-    EXPECT_TRUE(is_stable_binding(inst, pre));
-  }
-}
-
-TEST(PrefetchEngine, TraceMatchesQueueEngineEventForEvent) {
-  Rng rng(905);
-  const auto inst = gen::uniform(3, 24, rng);
-  std::vector<ProposalEvent> queue_trace;
-  std::vector<ProposalEvent> prefetch_trace;
-  GsOptions qopts;
-  qopts.trace = &queue_trace;
-  GsOptions popts;
-  popts.trace = &prefetch_trace;
-  gale_shapley_queue(inst, 1, 2, qopts);
-  gale_shapley_prefetch(inst, 1, 2, popts);
-  ASSERT_EQ(prefetch_trace.size(), queue_trace.size());
-  for (std::size_t t = 0; t < queue_trace.size(); ++t) {
-    EXPECT_EQ(prefetch_trace[t].proposer, queue_trace[t].proposer) << t;
-    EXPECT_EQ(prefetch_trace[t].responder, queue_trace[t].responder) << t;
-    EXPECT_EQ(prefetch_trace[t].accepted, queue_trace[t].accepted) << t;
-    EXPECT_EQ(prefetch_trace[t].displaced, queue_trace[t].displaced) << t;
-  }
-}
-
-TEST(PrefetchEngine, WorksOnMultiGenderInstances) {
-  Rng rng(906);
-  const auto inst = gen::uniform(5, 12, rng);
-  const auto pre = gale_shapley_prefetch(inst, 4, 2);
-  const auto queue = gale_shapley_queue(inst, 4, 2);
-  EXPECT_EQ(pre.proposer_match, queue.proposer_match);
-  EXPECT_EQ(pre.proposals, queue.proposals);
 }
 
 }  // namespace

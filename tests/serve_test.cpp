@@ -218,6 +218,25 @@ TEST(ServeEngineTest, UnparsableSolveBodyAnswersError) {
   EXPECT_EQ(engine.stats().accounted(), engine.stats().received.load());
 }
 
+TEST(ServeEngineTest, TinyBodyWithHugeDimensionsAnswersError) {
+  // 28 bytes claiming a k=2, n=12000 instance: rejected by the parser's
+  // minimum-encoding check instead of committing a 1.6 GB arena first.
+  FrameLog log;
+  ServeEngine engine(ServeLimits{}, log.sink());
+  engine.handle(
+      Frame::request(FrameKind::solve, 5, "kstable-kpartite v1\n2 12000\n"));
+  EXPECT_TRUE(engine.drain().clean);
+  ASSERT_EQ(log.count(FrameKind::error), 1u);
+  {
+    std::scoped_lock lock(log.mutex);
+    EXPECT_EQ(log.frames[0].id, 5u);
+    EXPECT_NE(log.frames[0].body.find("needs at least"), std::string::npos)
+        << log.frames[0].body;
+  }
+  EXPECT_EQ(engine.stats().errors.load(), 1);
+  EXPECT_EQ(engine.stats().accounted(), engine.stats().received.load());
+}
+
 TEST(ServeEngineTest, MetricsReturnsStatsSchema) {
   FrameLog log;
   ServeEngine engine(ServeLimits{}, log.sink());

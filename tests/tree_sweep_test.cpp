@@ -163,13 +163,8 @@ TEST(TreeSweepTest, SharedControlAbortsTheWholeSweep) {
   }
 }
 
-TEST(TreeSweepTest, RejectsParallelEngineAndBadChunk) {
+TEST(TreeSweepTest, RejectsBadChunkAndTreeGuard) {
   const auto inst = test_instance(3, 4, 0x1dea);
-  ThreadPool pool(2);
-  TreeSweepOptions parallel_engine;
-  parallel_engine.engine = GsEngine::parallel;
-  parallel_engine.pool = &pool;
-  EXPECT_THROW(sweep_all_trees(inst, parallel_engine), ContractViolation);
   TreeSweepOptions bad_chunk;
   bad_chunk.chunk_trees = 0;
   EXPECT_THROW(sweep_all_trees(inst, bad_chunk), ContractViolation);

@@ -16,7 +16,6 @@
 #include "graph/binding_structure.hpp"
 #include "gs/gale_shapley.hpp"
 #include "observability/metrics.hpp"
-#include "parallel/thread_pool.hpp"
 #include "prefs/generators.hpp"
 #include "prefs/io.hpp"
 #include "roommates/adapters.hpp"
@@ -196,20 +195,6 @@ TEST(DiffRunner, CleanSweepAcrossAllShapes) {
                       << ": " << m.check << " — " << m.detail;
       }
     }
-  }
-}
-
-TEST(DiffRunner, ParallelEngineLegJoinsTheBattery) {
-  ThreadPool pool(2);
-  DiffOptions options;
-  options.pool = &pool;
-  GenOptions gen_options;
-  gen_options.shape = Shape::kpartite;
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const auto battery = run_battery(generate(gen_options, seed), options);
-    EXPECT_TRUE(battery.clean())
-        << battery.mismatches.front().check << ": "
-        << battery.mismatches.front().detail;
   }
 }
 
