@@ -8,6 +8,8 @@
 #   * garbage/negative/overflowing numeric arguments exit 2 and print usage;
 #   * bad global-flag values (--deadline-ms=abc, --max-proposals=-1) exit 2;
 #   * the demo binaries reject garbage positional arguments the same way;
+#   * a tiny instance body piped through `kmatch info /dev/stdin` whose
+#     dimensions line asks for a huge arena exits 2 via the body-size guard;
 #   * a gen -> kary --stats-json round trip produces a schema-valid stats
 #     file whose proposal count matches the solver's stdout;
 #   * the `kmatch verify` exit-code contract: 0 on a clean differential
@@ -92,6 +94,20 @@ expect_usage_error "coalition_formation rejects n=junk" \
   -- "$BIN_DIR/coalition_formation" junk
 expect_usage_error "fair_matchmaking rejects n=0" \
   -- "$BIN_DIR/fair_matchmaking" 0
+
+# --- body-size guard on a non-seekable input --------------------------------
+# 28 bytes announcing a k=2 n=12000 instance must be refused from the body
+# length alone when they arrive through a pipe, not only from a file.
+printf 'kstable-kpartite v1\n2 12000\n' |
+  "$KMATCH" info /dev/stdin >/dev/null 2>"$WORK_DIR/pipe_guard.err"
+rc=$?
+if [ "$rc" -ne 2 ]; then
+  note_failure "tiny piped body with huge dimensions exited $rc, expected 2"
+elif ! grep -q "needs at least" "$WORK_DIR/pipe_guard.err"; then
+  note_failure "tiny piped body was not refused by the body-size guard"
+else
+  echo "ok: tiny piped body with huge dimensions exits 2"
+fi
 
 # --- stats-json round trip --------------------------------------------------
 INST="$WORK_DIR/cli_reg.inst"

@@ -1,47 +1,14 @@
 #include "prefs/matching_io.hpp"
 
-#include <optional>
 #include <sstream>
 #include <vector>
 
 #include "resilience/errors.hpp"
 #include "resilience/fault_injection.hpp"
 #include "util/check.hpp"
+#include "util/text_reader.hpp"
 
 namespace kstable::io {
-
-namespace {
-
-std::optional<std::string> next_line(std::istream& is) {
-  std::string line;
-  while (std::getline(is, line)) {
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.erase(hash);
-    }
-    if (line.find_first_not_of(" \t\r") != std::string::npos) return line;
-  }
-  return std::nullopt;
-}
-
-void read_header(std::istream& is, const char* magic, Gender& k, Index& n) {
-  auto header = next_line(is);
-  KSTABLE_PARSE_REQUIRE(header.has_value(), "empty matching stream");
-  {
-    std::istringstream hs(*header);
-    std::string found_magic, version;
-    hs >> found_magic >> version;
-    KSTABLE_PARSE_REQUIRE(found_magic == magic && version == "v1",
-                    "bad header '" << *header << "'");
-  }
-  auto dims = next_line(is);
-  KSTABLE_PARSE_REQUIRE(dims.has_value(), "missing dimensions line");
-  std::istringstream ds(*dims);
-  ds >> k >> n;
-  KSTABLE_PARSE_REQUIRE(!ds.fail() && k >= 2 && n >= 1,
-                  "bad dimensions line '" << *dims << "'");
-}
-
-}  // namespace
 
 void save(const KaryMatching& matching, std::ostream& os) {
   os << "kstable-kary v1\n"
@@ -55,52 +22,39 @@ void save(const KaryMatching& matching, std::ostream& os) {
   }
 }
 
-KaryMatching load_kary(std::istream& is) {
+KaryMatching kary_from_string(std::string_view text) {
   KSTABLE_FAULT_POINT("io/load");
-  Gender k = 0;
-  Index n = 0;
-  read_header(is, "kstable-kary", k, n);
-  std::vector<Index> families(
-      static_cast<std::size_t>(k) * static_cast<std::size_t>(n), Index{-1});
+  util::TextReader r(text);
+  const auto [k, n] = r.header<Gender, Index>("kstable-kary", "v1");
+  r.check(k >= 2 && n >= 1, "dimensions out of range");
+  const auto members = static_cast<std::size_t>(k);
+  r.require_room(static_cast<std::size_t>(n), 9 + 2 * members,
+                 "\"family t: <k members>\" lines");
+  std::vector<Index> families(members * static_cast<std::size_t>(n), -1);
   std::vector<bool> seen(static_cast<std::size_t>(n), false);
-  while (auto line = next_line(is)) {
-    std::istringstream ls(*line);
-    std::string tag, colon;
-    Index t = 0;
-    ls >> tag >> t >> colon;
-    KSTABLE_PARSE_REQUIRE(!ls.fail() && tag == "family" && colon == ":",
-                    "bad family line '" << *line << "'");
-    KSTABLE_PARSE_REQUIRE(t >= 0 && t < n, "family index " << t << " out of range");
-    KSTABLE_PARSE_REQUIRE(!seen[static_cast<std::size_t>(t)],
-                    "duplicate family " << t);
+  while (r.next_line()) {
+    r.keyword("family");
+    const auto t = r.number<Index>();
+    r.colon();
+    r.check(t >= 0 && t < n, "family index out of range");
+    r.check(!seen[static_cast<std::size_t>(t)], "duplicate family");
     seen[static_cast<std::size_t>(t)] = true;
-    for (Gender g = 0; g < k; ++g) {
-      Index idx = -1;
-      ls >> idx;
-      KSTABLE_PARSE_REQUIRE(!ls.fail(), "family " << t << " has too few members");
-      families[static_cast<std::size_t>(t) * static_cast<std::size_t>(k) +
-               static_cast<std::size_t>(g)] = idx;
+    for (std::size_t g = 0; g < members; ++g) {
+      families[static_cast<std::size_t>(t) * members + g] = r.number<Index>();
     }
+    r.end_line();
   }
   for (Index t = 0; t < n; ++t) {
     KSTABLE_PARSE_REQUIRE(seen[static_cast<std::size_t>(t)], "missing family " << t);
   }
-  try {
-    return KaryMatching(k, n, std::move(families));
-  } catch (const ContractViolation& e) {
-    throw ParseError(std::string("parse error: ") + e.what());
-  }
+  return util::parse_checked(
+      [&] { return KaryMatching(k, n, std::move(families)); });
 }
 
 std::string to_string(const KaryMatching& matching) {
   std::ostringstream os;
   save(matching, os);
   return os.str();
-}
-
-KaryMatching kary_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return load_kary(is);
 }
 
 void save(const BinaryMatchingKP& matching, std::ostream& os) {
@@ -114,46 +68,36 @@ void save(const BinaryMatchingKP& matching, std::ostream& os) {
   }
 }
 
-BinaryMatchingKP load_binary(std::istream& is) {
+BinaryMatchingKP binary_from_string(std::string_view text) {
   KSTABLE_FAULT_POINT("io/load");
-  Gender k = 0;
-  Index n = 0;
-  read_header(is, "kstable-binary", k, n);
+  util::TextReader r(text);
+  const auto [k, n] = r.header<Gender, Index>("kstable-binary", "v1");
+  r.check(k >= 2 && n >= 1, "dimensions out of range");
   const auto total = static_cast<std::size_t>(k) * static_cast<std::size_t>(n);
+  r.require_room(total / 2, 8, "\"pair a b\" lines");
   std::vector<std::int32_t> partner(total, -1);
-  while (auto line = next_line(is)) {
-    std::istringstream ls(*line);
-    std::string tag;
-    std::int32_t a = -1, b = -1;
-    ls >> tag >> a >> b;
-    KSTABLE_PARSE_REQUIRE(!ls.fail() && tag == "pair",
-                    "bad pair line '" << *line << "'");
-    KSTABLE_PARSE_REQUIRE(a >= 0 && b >= 0 &&
-                        a < static_cast<std::int32_t>(total) &&
-                        b < static_cast<std::int32_t>(total),
-                    "pair (" << a << ',' << b << ") out of range");
-    KSTABLE_PARSE_REQUIRE(partner[static_cast<std::size_t>(a)] == -1 &&
-                        partner[static_cast<std::size_t>(b)] == -1,
-                    "member in two pairs on line '" << *line << "'");
+  while (r.next_line()) {
+    r.keyword("pair");
+    const auto a = r.number<std::int32_t>();
+    const auto b = r.number<std::int32_t>();
+    r.end_line();
+    r.check(a >= 0 && b >= 0 && static_cast<std::size_t>(a) < total &&
+                static_cast<std::size_t>(b) < total,
+            "pair out of range");
+    r.check(partner[static_cast<std::size_t>(a)] == -1 &&
+                partner[static_cast<std::size_t>(b)] == -1,
+            "member in two pairs");
     partner[static_cast<std::size_t>(a)] = b;
     partner[static_cast<std::size_t>(b)] = a;
   }
-  try {
-    return BinaryMatchingKP(k, n, std::move(partner));
-  } catch (const ContractViolation& e) {
-    throw ParseError(std::string("parse error: ") + e.what());
-  }
+  return util::parse_checked(
+      [&] { return BinaryMatchingKP(k, n, std::move(partner)); });
 }
 
 std::string to_string(const BinaryMatchingKP& matching) {
   std::ostringstream os;
   save(matching, os);
   return os.str();
-}
-
-BinaryMatchingKP binary_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return load_binary(is);
 }
 
 }  // namespace kstable::io

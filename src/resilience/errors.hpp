@@ -7,7 +7,8 @@
 //
 //   ContractViolation   — programming error (unchanged; util/check.hpp)
 //   ParseError          — malformed *input* at a serialization boundary
-//                         (prefs/io, roommates/io, prefs/matching_io). Derives
+//                         (prefs/io, roommates/io, prefs/matching_io; in
+//                         util/check.hpp, below the util tokenizer). Derives
 //                         from ContractViolation so legacy catch sites keep
 //                         working, but can now be caught separately.
 //   ExecutionAborted    — a solve was stopped cooperatively: deadline expired,
@@ -27,13 +28,6 @@
 #include "util/check.hpp"
 
 namespace kstable {
-
-/// Malformed serialized input (bad header, out-of-range ids, duplicate or
-/// missing lines, non-permutation lists). Thrown by the IO modules only.
-class ParseError : public ContractViolation {
- public:
-  explicit ParseError(const std::string& what) : ContractViolation(what) {}
-};
 
 /// Why a solve stopped before producing a result.
 enum class AbortReason : std::uint8_t {

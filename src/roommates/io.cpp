@@ -1,13 +1,13 @@
 #include "roommates/io.hpp"
 
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <vector>
 
 #include "resilience/errors.hpp"
 #include "resilience/fault_injection.hpp"
 #include "util/check.hpp"
+#include "util/text_reader.hpp"
 
 namespace kstable::rm::io {
 
@@ -15,17 +15,6 @@ namespace {
 
 constexpr const char* kMagic = "kstable-roommates";
 constexpr const char* kVersion = "v1";
-
-std::optional<std::string> next_line(std::istream& is) {
-  std::string line;
-  while (std::getline(is, line)) {
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.erase(hash);
-    }
-    if (line.find_first_not_of(" \t\r") != std::string::npos) return line;
-  }
-  return std::nullopt;
-}
 
 }  // namespace
 
@@ -38,52 +27,32 @@ void save(const RoommatesInstance& inst, std::ostream& os) {
   }
 }
 
-RoommatesInstance load(std::istream& is) {
+RoommatesInstance from_string(std::string_view text) {
   KSTABLE_FAULT_POINT("io/load");
-  auto header = next_line(is);
-  KSTABLE_PARSE_REQUIRE(header.has_value(), "empty roommates stream");
-  {
-    std::istringstream hs(*header);
-    std::string magic, version;
-    hs >> magic >> version;
-    KSTABLE_PARSE_REQUIRE(magic == kMagic && version == kVersion,
-                    "bad header '" << *header << "'");
-  }
-  auto dims = next_line(is);
-  KSTABLE_PARSE_REQUIRE(dims.has_value(), "missing size line");
-  Person n = 0;
-  {
-    std::istringstream ds(*dims);
-    ds >> n;
-    KSTABLE_PARSE_REQUIRE(!ds.fail() && n >= 1, "bad size line '" << *dims << "'");
-  }
+  util::TextReader r(text);
+  const auto [n] = r.header<Person>(kMagic, kVersion);
+  r.check(n >= 1, "size out of range");
+  r.require_room(static_cast<std::size_t>(n), 7, "\"list p:\" lines");
   std::vector<std::vector<Person>> lists(static_cast<std::size_t>(n));
   std::vector<bool> seen(static_cast<std::size_t>(n), false);
-  while (auto line = next_line(is)) {
-    std::istringstream ls(*line);
-    std::string tag, colon;
-    Person p = 0;
-    ls >> tag >> p >> colon;
-    KSTABLE_PARSE_REQUIRE(!ls.fail() && tag == "list" && colon == ":",
-                    "bad list line '" << *line << "'");
-    KSTABLE_PARSE_REQUIRE(p >= 0 && p < n, "person " << p << " out of range");
-    KSTABLE_PARSE_REQUIRE(!seen[static_cast<std::size_t>(p)],
-                    "duplicate list for person " << p);
+  while (r.next_line()) {
+    r.keyword("list");
+    const auto p = r.number<Person>();
+    r.colon();
+    r.check(p >= 0 && p < n, "person out of range");
+    r.check(!seen[static_cast<std::size_t>(p)], "duplicate list");
     seen[static_cast<std::size_t>(p)] = true;
-    Person q = 0;
-    while (ls >> q) lists[static_cast<std::size_t>(p)].push_back(q);
+    while (!r.at_end()) {
+      lists[static_cast<std::size_t>(p)].push_back(r.number<Person>());
+    }
   }
   for (Person p = 0; p < n; ++p) {
     KSTABLE_PARSE_REQUIRE(seen[static_cast<std::size_t>(p)],
                     "missing list for person " << p);
   }
-  try {
-    return RoommatesInstance(std::move(lists));
-  } catch (const ContractViolation& e) {
-    // Constructor validation failure (bad entry, self-reference, duplicate):
-    // malformed input, not a programming error.
-    throw ParseError(std::string("parse error: ") + e.what());
-  }
+  // The constructor rejects bad entries, self-references and duplicates.
+  return util::parse_checked(
+      [&] { return RoommatesInstance(std::move(lists)); });
 }
 
 void save_file(const RoommatesInstance& inst, const std::string& path) {
@@ -94,20 +63,13 @@ void save_file(const RoommatesInstance& inst, const std::string& path) {
 }
 
 RoommatesInstance load_file(const std::string& path) {
-  std::ifstream is(path);
-  KSTABLE_REQUIRE(is.good(), "cannot open '" << path << "' for reading");
-  return load(is);
+  return from_string(util::read_file(path));
 }
 
 std::string to_string(const RoommatesInstance& inst) {
   std::ostringstream os;
   save(inst, os);
   return os.str();
-}
-
-RoommatesInstance from_string(const std::string& text) {
-  std::istringstream is(text);
-  return load(is);
 }
 
 }  // namespace kstable::rm::io

@@ -18,6 +18,13 @@ class ContractViolation : public std::logic_error {
   explicit ContractViolation(const std::string& what) : std::logic_error(what) {}
 };
 
+/// Malformed serialized input (bad header, out-of-range ids, duplicate or
+/// missing lines, non-permutation lists). Thrown by the IO modules only.
+class ParseError : public ContractViolation {
+ public:
+  explicit ParseError(const std::string& what) : ContractViolation(what) {}
+};
+
 namespace detail {
 [[noreturn]] inline void contract_fail(const char* kind, const char* expr,
                                        const char* file, int line,

@@ -237,6 +237,22 @@ TEST(ServeEngineTest, TinyBodyWithHugeDimensionsAnswersError) {
   EXPECT_EQ(engine.stats().accounted(), engine.stats().received.load());
 }
 
+TEST(ServeEngineTest, HugeMalformedBodyAnswersAShortError) {
+  // An 8 MiB body whose first pref line is malformed: the ERROR frame names
+  // the line but quotes only a bounded slice of it.
+  std::string body = "kstable-kpartite v1\n2 2\npref 0 0 1 ; ";
+  while (body.size() < (8u << 20)) body += "1 ";
+  FrameLog log;
+  ServeEngine engine(ServeLimits{}, log.sink());
+  engine.handle(Frame::request(FrameKind::solve, 6, std::move(body)));
+  EXPECT_TRUE(engine.drain().clean);
+  ASSERT_EQ(log.count(FrameKind::error), 1u);
+  std::scoped_lock lock(log.mutex);
+  EXPECT_LT(log.frames[0].body.size(), 1024u);
+  EXPECT_NE(log.frames[0].body.find("line 3"), std::string::npos)
+      << log.frames[0].body;
+}
+
 TEST(ServeEngineTest, MetricsReturnsStatsSchema) {
   FrameLog log;
   ServeEngine engine(ServeLimits{}, log.sink());

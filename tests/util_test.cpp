@@ -1,4 +1,5 @@
-// Unit tests for the util substrate: RNG, contracts, tables, timer.
+// Unit tests for the util substrate: RNG, contracts, tables, timer,
+// argument parsing and the text reader.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
+#include "util/text_reader.hpp"
 #include "util/timer.hpp"
 
 namespace kstable {
@@ -287,6 +289,49 @@ TEST(ParseNumber, RangeBoundsAreInclusive) {
 TEST(ParseNumber, IntegralPathStillRejectsFloatSyntax) {
   EXPECT_FALSE(util::parse_number<int>("2.5", 0, 10).has_value());
   EXPECT_FALSE(util::parse_number<int>("1e3", 0, 10000).has_value());
+}
+
+TEST(TextReader, SkipsCommentsAndBlankLinesAndCountsPhysicalLines) {
+  util::TextReader r("# note\n\n  \r\nkw 12: 7\t# tail\r\nlast");
+  ASSERT_TRUE(r.next_line());
+  try {
+    r.fail("probe");
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "parse error: probe at line 4 'kw 12: 7\t'");
+  }
+  r.keyword("kw");
+  EXPECT_EQ(r.number<int>(), 12);
+  r.colon();
+  EXPECT_EQ(r.number<int>(), 7);
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(r.bytes_left(), 4u);
+  ASSERT_TRUE(r.next_line());
+  EXPECT_THROW(r.end_line(), ParseError);
+  r.keyword("last");
+  r.end_line();
+  EXPECT_FALSE(r.next_line());
+  EXPECT_THROW(r.require_line("more"), ParseError);
+}
+
+TEST(TextReader, NumbersMustEndAtABlankColonOrLineEnd) {
+  for (const char* bad : {"1x", "0.5", "0x9", "+3", "-", "99999999999", ""}) {
+    util::TextReader r(bad);
+    r.next_line();
+    EXPECT_THROW((void)r.number<int>(), ParseError) << bad;
+  }
+  util::TextReader r("-4:");
+  ASSERT_TRUE(r.next_line());
+  EXPECT_EQ(r.number<int>(), -4);
+  r.colon();
+  r.end_line();
+}
+
+TEST(TextReader, RoomGuardRejectsShortBodiesWithoutOverflow) {
+  util::TextReader r("hdr\n0123456789");
+  ASSERT_TRUE(r.next_line());
+  r.require_room(5, 2, "records");
+  EXPECT_THROW(r.require_room(11, 1, "records"), ParseError);
+  EXPECT_THROW(r.require_room(SIZE_MAX / 2, 4, "records"), ParseError);
 }
 
 }  // namespace
