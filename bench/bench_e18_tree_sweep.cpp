@@ -1,14 +1,15 @@
 // E18 — TreeSweep engine: parallel sweep over all k^(k-2) binding trees with
-// the sharded single-flight GsEdgeCache.
+// the single-flight GsEdgeCache.
 //
 // Cayley's formula (cited for Theorem 3) gives k^(k-2) spanning binding
 // trees; Prüfer random access (prufer::tree_at) makes the index space
-// chunkable, so the sweep fans the trees across the pool with work stealing
-// while all workers share one edge cache. Three claims are measured:
+// claimable one index at a time, so the sweep fans the trees across the pool
+// off one shared cursor while all workers share one edge cache. Three claims
+// are measured:
 //
 //   1. Thread scaling: trees/sec vs pool size (the wall-clock speedup column
 //      is hardware-dependent; on a single-core host the hardware-independent
-//      signals are the schedule counters and the determinism checks).
+//      signal is the determinism check).
 //   2. Cache ablation: no cache vs the single-flight cache. Single-flight
 //      must show zero duplicate GS computes (misses == entries) at any
 //      thread count.
@@ -52,8 +53,8 @@ SweepRun run_sweep(const KPartiteInstance& inst, ThreadPool* pool,
 }
 
 void report() {
-  std::cout << "E18: parallel binding-tree sweep with the sharded "
-               "single-flight edge cache\n\n";
+  std::cout << "E18: parallel binding-tree sweep with the single-flight "
+               "edge cache\n\n";
 
   const Gender k = 5;
   const Index n = 64;
@@ -68,7 +69,7 @@ void report() {
   TableWriter scaling("Thread scaling: sweep of all " +
                           std::to_string(tree_count) +
                           " trees (k=5, n=64, uniform, single-flight cache)",
-                      {"threads", "wall ms", "trees/sec", "chunks", "steals",
+                      {"threads", "wall ms", "trees/sec", "chunks",
                        "executed proposals", "identical"});
   bool all_identical = true;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
@@ -85,16 +86,14 @@ void report() {
     scaling.add_row({static_cast<double>(threads), run.result.stats.wall_ms,
                      run.result.stats.trees_per_sec,
                      static_cast<double>(run.result.stats.chunks),
-                     static_cast<double>(run.result.stats.steals),
                      static_cast<double>(run.result.stats.executed_proposals),
                      std::string(identical ? "yes" : "NO (BUG)")});
   }
   scaling.print(std::cout);
   std::cout << "Wall-clock speedup is hardware-dependent (this host may be "
                "single-core; acceptance target is >=3x at 8 threads on >=8 "
-               "cores). Hardware-independent signals: chunks/steals show the "
-               "work-stealing schedule engaged, 'identical' shows the fold is "
-               "schedule-invariant.\n\n";
+               "cores). Hardware-independent signal: 'identical' shows the "
+               "fold is schedule-invariant.\n\n";
 
   // --- 2. Cache ablation at 8 threads ---------------------------------------
   TableWriter ablation(
@@ -151,18 +150,15 @@ void bm_sweep_threads(benchmark::State& state) {
   Rng rng(8101);
   const auto inst = gen::uniform(k, 64, rng);
   ThreadPool pool(threads == 0 ? 1 : threads);
-  std::int64_t steals = 0;
   for (auto _ : state) {
     core::GsEdgeCache cache(k);
     core::TreeSweepOptions options;
     options.pool = threads == 0 ? nullptr : &pool;
     options.cache = &cache;
     const auto result = core::sweep_all_trees(inst, options);
-    steals = result.stats.steals;
     benchmark::DoNotOptimize(result.best_cost);
   }
   state.counters["trees"] = static_cast<double>(prufer::cayley_count(k));
-  state.counters["steals"] = static_cast<double>(steals);
 }
 BENCHMARK(bm_sweep_threads)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
@@ -186,7 +182,7 @@ BENCHMARK(bm_sweep_cache)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Scheduling overhead in isolation: an empty-body sweep over a large index
-// space measures claim/steal cost per chunk without any GS work.
+// space measures the cursor's claim cost per chunk without any GS work.
 void bm_sweep_schedule_overhead(benchmark::State& state) {
   const auto chunk = static_cast<std::int64_t>(state.range(0));
   ThreadPool pool(8);

@@ -37,8 +37,7 @@
 //   --max-proposals=<n>    abort the solve after n accumulated proposals
 //   --fallback             (kary only) on abort, retry along different
 //                          spanning trees, then degrade to the priority model
-//   --sweep-threads=<n>    pool size for 'kary <file> best' and the
-//                          speculative --fallback ladder (checked, >= 1;
+//   --sweep-threads=<n>    pool size for 'kary <file> best' (checked, >= 1;
 //                          1 = sequential, the default)
 //   --stats-json=<file>    write the solve's telemetry + the process metrics
 //                          registry as one JSON object (docs/OBSERVABILITY.md)
@@ -161,7 +160,7 @@ int usage() {
                "  kmatch ping --port=<p> [ping flags]\n"
                "  kmatch info <file>\n"
                "flags: --deadline-ms=<ms>  --max-proposals=<n>  --fallback\n"
-               "       --sweep-threads=<n>\n"
+               "       --sweep-threads=<n>  (pool size for 'kary <file> best')\n"
                "       --stats-json=<file>  --stats-prom=<file>\n"
                "verify flags: --seeds=<n>  --shape=<shape|all>  --dist=<dist>\n"
                "       --base-seed=<n>  --sabotage=<mode>  --repro-dir=<dir>\n"
@@ -244,17 +243,9 @@ int cmd_kary(int argc, char** argv) {
 
   core::BindingResult result;
   BindingStructure tree(k);
-  // Lives outside the branches: the pool must outlive the sweep it backs.
-  std::optional<ThreadPool> pool;
   if (g_fallback) {
     resilience::FallbackOptions opts;
     opts.per_attempt = g_budget;
-    if (g_sweep_threads > 1) {
-      // Race the strict rungs speculatively across the pool.
-      pool.emplace(g_sweep_threads);
-      opts.pool = &*pool;
-      opts.speculative = true;
-    }
     auto report = resilience::solve_with_fallback(inst, opts);
     g_telemetry = report.telemetry;
     std::cout << "fallback ladder: " << report.attempts.size()
@@ -286,6 +277,7 @@ int cmd_kary(int argc, char** argv) {
     sopts.control = control;
     core::GsEdgeCache cache(k);
     sopts.cache = &cache;
+    std::optional<ThreadPool> pool;
     if (g_sweep_threads > 1) {
       pool.emplace(g_sweep_threads);
       sopts.pool = &*pool;
@@ -293,9 +285,9 @@ int cmd_kary(int argc, char** argv) {
     auto sweep = core::sweep_all_trees(inst, sopts);
     g_telemetry = sweep.telemetry;
     std::cout << "swept " << sweep.stats.trees << " trees ("
-              << sweep.stats.workers << " worker(s), " << sweep.stats.steals
-              << " steals); best tree index " << sweep.best_index
-              << ", bound-pair cost " << sweep.best_cost << '\n';
+              << sweep.stats.workers << " worker(s)); best tree index "
+              << sweep.best_index << ", bound-pair cost " << sweep.best_cost
+              << '\n';
     tree = *sweep.best_tree;
     result = std::move(*sweep.best);
   } else {

@@ -12,6 +12,8 @@
 #     dimensions line asks for a huge arena exits 2 via the body-size guard;
 #   * a gen -> kary --stats-json round trip produces a schema-valid stats
 #     file whose proposal count matches the solver's stdout;
+#   * `kary best` prints the same result with and without --sweep-threads,
+#     and so does the `--fallback` ladder, which never uses the pool;
 #   * the `kmatch verify` exit-code contract: 0 on a clean differential
 #     sweep, 4 (plus a loadable minimal-repro file) when a sabotaged engine
 #     diverges, 2 on bad verify flags;
@@ -156,7 +158,7 @@ if ! "$KMATCH" kary "$INST" best >"$SEQ_OUT"; then
 elif ! "$KMATCH" --sweep-threads=4 kary "$INST" best >"$PAR_OUT"; then
   note_failure "kary best --sweep-threads=4 failed"
 else
-  # Determinism contract: only the worker/steal telemetry line may differ.
+  # Determinism contract: only the worker-count telemetry line may differ.
   if [ "$(grep -v '^swept ' "$SEQ_OUT")" = "$(grep -v '^swept ' "$PAR_OUT")" ] \
       && grep -q "^swept 3 trees" "$SEQ_OUT" \
       && grep -q "best tree index" "$SEQ_OUT"; then
@@ -164,6 +166,21 @@ else
   else
     note_failure "kary best parallel/sequential outputs differ"
   fi
+fi
+
+# --- --fallback: the ladder is sequential, --sweep-threads does not touch it --
+FB_SEQ="$WORK_DIR/cli_reg.fallback_seq"
+FB_PAR="$WORK_DIR/cli_reg.fallback_par"
+if ! "$KMATCH" --fallback kary "$INST" >"$FB_SEQ"; then
+  note_failure "kary --fallback failed"
+elif ! "$KMATCH" --fallback --sweep-threads=4 kary "$INST" >"$FB_PAR"; then
+  note_failure "kary --fallback --sweep-threads=4 failed"
+elif cmp -s "$FB_SEQ" "$FB_PAR" \
+    && grep -q "^fallback ladder: 1 attempt(s), rung strict-tree$" "$FB_SEQ" \
+    && grep -q "^family 0:" "$FB_SEQ"; then
+  echo "ok: kary --fallback output identical with and without --sweep-threads"
+else
+  note_failure "kary --fallback output changed under --sweep-threads=4"
 fi
 
 # --- kmatch verify exit-code contract ---------------------------------------

@@ -20,6 +20,10 @@ Three check classes, strictest first:
                         came from the same machine; off by default, enabled
                         with --check-absolute (scripts/reproduce.sh runs).
 
+Repetitions: a file produced with --benchmark_repetitions=N holds N rows per
+benchmark name. The time checks (2, 3) use each name's median real_time, and
+an exact counter (1) must match in every repetition.
+
 Usage:
   compare_bench.py --baseline bench/baselines/BENCH_E19.json \
       --fresh BENCH_e19.json \
@@ -32,11 +36,15 @@ Exit status: 0 = no regression, 1 = regression found, 2 = usage/data error.
 
 import argparse
 import json
+import statistics
 import sys
 
 
 def load_benchmarks(path):
     """(name -> benchmark row, pref backend); aggregate rows skipped.
+
+    A file run with --benchmark_repetitions=N holds N iteration rows per
+    name; fold_repetitions turns them into one row gated on their median.
 
     The preference backend ("explicit" tables vs "implicit" generator) is
     stamped into the JSON context by bench_common.hpp. Files predating the
@@ -48,17 +56,31 @@ def load_benchmarks(path):
     except (OSError, ValueError) as exc:
         print(f"compare_bench: cannot read {path}: {exc}", file=sys.stderr)
         sys.exit(2)
-    rows = {}
+    reps = {}
     for row in data.get("benchmarks", []):
         if row.get("run_type") == "aggregate":
             continue
-        rows[row["name"]] = row
-    if not rows:
+        reps.setdefault(row["name"], []).append(row)
+    if not reps:
         print(f"compare_bench: {path} contains no benchmark rows",
               file=sys.stderr)
         sys.exit(2)
+    rows = {name: fold_repetitions(name, path, group)
+            for name, group in reps.items()}
     backend = data.get("context", {}).get("kstable.pref_backend", "explicit")
     return rows, backend
+
+
+def fold_repetitions(name, path, group):
+    """One row per name: the first repetition's fields, with real_time
+    replaced by the median over every repetition so that one noisy
+    repetition cannot move a ratio or absolute gate. The repetitions stay
+    attached so exact counters are checked in each of them."""
+    row = dict(group[0])
+    row["real_time"] = statistics.median(
+        real_time_of(rep, name, path) for rep in group)
+    row["repetition_rows"] = group
+    return row
 
 
 def check_exact_counters(base, fresh, counters, failures):
@@ -71,12 +93,14 @@ def check_exact_counters(base, fresh, counters, failures):
             if counter not in brow:
                 continue
             checked += 1
-            bval, fval = brow[counter], frow.get(counter)
-            if fval != bval:
-                failures.append(
-                    f"{name}: counter '{counter}' changed "
-                    f"{bval} -> {fval} (deterministic metric; any drift "
-                    f"is a semantic change, not noise)")
+            bval = brow[counter]
+            for fval in (rep.get(counter) for rep in frow["repetition_rows"]):
+                if fval != bval:
+                    failures.append(
+                        f"{name}: counter '{counter}' changed "
+                        f"{bval} -> {fval} (deterministic metric; any drift "
+                        f"is a semantic change, not noise)")
+                    break
     return checked
 
 

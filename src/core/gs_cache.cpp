@@ -48,10 +48,15 @@ std::size_t GsEdgeCache::invalidate(GenderEdge edge) {
   // slot() re-validates the edge; the engine loop below walks the
   // kEngineCount consecutive slots of that oriented pair.
   const std::size_t base = slot(edge, GsEngine::queue);
+  return reset_slots(base, base + kEngineCount);
+}
+
+std::size_t GsEdgeCache::reset_slots(std::size_t begin, std::size_t end) {
+  // External-quiescence contract (see header): the lock is belt-and-braces
+  // against stragglers, not a licence for concurrent resets.
+  std::lock_guard<std::mutex> lock(mutex_);
   std::size_t dropped = 0;
-  for (std::size_t e = 0; e < kEngineCount; ++e) {
-    const std::size_t s = base + e;
-    std::lock_guard<std::mutex> lock(stripe_for(s).m);
+  for (std::size_t s = begin; s < end; ++s) {
     if (slots_[s].state.load(std::memory_order_relaxed) == kReady) ++dropped;
     slots_[s].value.reset();
     slots_[s].state.store(kEmpty, std::memory_order_relaxed);
@@ -84,44 +89,6 @@ std::size_t GsEdgeCache::slot(GenderEdge edge, GsEngine engine) const {
          e;
 }
 
-const gs::GsResult* GsEdgeCache::find(GenderEdge edge, GsEngine engine) {
-  Slot& entry = slots_[slot(edge, engine)];
-  // Ready is terminal and the value precedes it (release store), so the
-  // acquire load alone licenses the lock-free read.
-  if (entry.state.load(std::memory_order_acquire) == kReady) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    KSTABLE_COUNTER_ADD("cache.hits", 1);
-    return &*entry.value;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  KSTABLE_COUNTER_ADD("cache.misses", 1);
-  return nullptr;
-}
-
-const gs::GsResult& GsEdgeCache::insert(GenderEdge edge, GsEngine engine,
-                                        gs::GsResult result) {
-  KSTABLE_REQUIRE(result.proposer_gender == edge.a &&
-                      result.responder_gender == edge.b,
-                  "result genders (" << result.proposer_gender << ','
-                                     << result.responder_gender
-                                     << ") do not match edge (" << edge.a << ','
-                                     << edge.b << ')');
-  const std::size_t s = slot(edge, engine);
-  Slot& entry = slots_[s];
-  Stripe& stripe = stripe_for(s);
-  {
-    std::lock_guard<std::mutex> lock(stripe.m);
-    if (entry.state.load(std::memory_order_relaxed) != kReady) {
-      entry.value.emplace(std::move(result));
-      entry.state.store(kReady, std::memory_order_release);
-    }
-  }
-  // An insert may race a single-flight leader that claimed kComputing via
-  // get_or_compute; wake its waiters — the published value satisfies them.
-  stripe.cv.notify_all();
-  return *entry.value;
-}
-
 const gs::GsResult& GsEdgeCache::get_or_compute(
     GenderEdge edge, GsEngine engine,
     const std::function<gs::GsResult()>& compute,
@@ -138,8 +105,7 @@ const gs::GsResult& GsEdgeCache::get_or_compute(
     return *entry.value;
   }
 
-  Stripe& stripe = stripe_for(s);
-  std::unique_lock<std::mutex> lock(stripe.m);
+  std::unique_lock<std::mutex> lock(mutex_);
   bool waited = false;
   for (;;) {
     const std::uint8_t state = entry.state.load(std::memory_order_relaxed);
@@ -156,7 +122,7 @@ const gs::GsResult& GsEdgeCache::get_or_compute(
 
     if (state == kEmpty) {
       // Leader path. Claim the slot, run GS unlocked, publish under the
-      // stripe lock.
+      // lock.
       entry.state.store(kComputing, std::memory_order_relaxed);
       lock.unlock();
       gs::GsResult result;
@@ -168,7 +134,7 @@ const gs::GsResult& GsEdgeCache::get_or_compute(
         lock.lock();
         entry.state.store(kEmpty, std::memory_order_relaxed);
         lock.unlock();
-        stripe.cv.notify_all();
+        cv_.notify_all();
         throw;
       }
       KSTABLE_REQUIRE(result.proposer_gender == edge.a &&
@@ -178,13 +144,13 @@ const gs::GsResult& GsEdgeCache::get_or_compute(
                           << result.responder_gender
                           << ") do not match edge (" << edge.a << ',' << edge.b
                           << ')');
+      // Only the leader moves a slot out of kComputing, so the publish
+      // cannot race another writer.
       lock.lock();
-      if (entry.state.load(std::memory_order_relaxed) != kReady) {
-        entry.value.emplace(std::move(result));
-        entry.state.store(kReady, std::memory_order_release);
-      }
+      entry.value.emplace(std::move(result));
+      entry.state.store(kReady, std::memory_order_release);
       lock.unlock();
-      stripe.cv.notify_all();
+      cv_.notify_all();
       misses_.fetch_add(1, std::memory_order_relaxed);
       KSTABLE_COUNTER_ADD("cache.misses", 1);
       if (hit != nullptr) *hit = false;
@@ -196,21 +162,13 @@ const gs::GsResult& GsEdgeCache::get_or_compute(
     // aborts a blocked waiter too (ExecutionAborted unwinds with the lock
     // released by RAII).
     waited = true;
-    stripe.cv.wait_for(lock, kWaiterPollInterval);
+    cv_.wait_for(lock, kWaiterPollInterval);
     if (control != nullptr) control->check_now();
   }
 }
 
 std::size_t GsEdgeCache::clear() {
-  // External-quiescence contract (see header): locking each stripe here is
-  // belt-and-braces against stragglers, not a licence for concurrent clear.
-  std::size_t dropped = 0;
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    std::lock_guard<std::mutex> lock(stripe_for(s).m);
-    if (slots_[s].state.load(std::memory_order_relaxed) == kReady) ++dropped;
-    slots_[s].value.reset();
-    slots_[s].state.store(kEmpty, std::memory_order_relaxed);
-  }
+  const std::size_t dropped = reset_slots(0, slots_.size());
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
   single_flight_waits_.store(0, std::memory_order_relaxed);

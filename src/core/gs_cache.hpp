@@ -38,15 +38,16 @@
 //     empty -> computing -> ready. Ready is terminal: entries are never
 //     overwritten, so a ready slot is readable lock-free (acquire load) and
 //     entry addresses are stable for the cache's lifetime.
-//   * Mutation is guarded by 64 stripe locks (slot index mod 64), not one
-//     global mutex — concurrent misses on *different* keys never contend.
+//   * State changes take one mutex. The table holds at most k(k-1)
+//     oriented edges per engine and GS runs outside the lock, so every
+//     critical section is an O(1) state change.
 //   * Misses resolve **single-flight**: the first thread to claim an empty
 //     slot computes; later threads missing the same key block on the
-//     stripe's condition variable until the leader publishes, then read the
-//     leader's result. N concurrent misses cost one GS run, not N (the
-//     deduplicated waits are counted in Stats::single_flight_waits). If the
-//     leader's compute throws (deadline, cancellation, injected fault), the
-//     slot resets to empty and one waiter is promoted to leader.
+//     condition variable until the leader publishes, then read the leader's
+//     result. N concurrent misses cost one GS run, not N (the deduplicated
+//     waits are counted in Stats::single_flight_waits). If the leader's
+//     compute throws (deadline, cancellation, injected fault), the slot
+//     resets to empty and one waiter is promoted to leader.
 //
 // Counting contract (what the gs_cache tests pin down): every lookup counts
 // exactly one hit or one miss; a miss is counted by the thread whose compute
@@ -55,7 +56,6 @@
 // it is a between-phases reset, not a concurrent eviction.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -122,18 +122,6 @@ class GsEdgeCache {
     return bound_generation_;
   }
 
-  /// Cached result of GS(edge.a proposes, edge.b responds) under `engine`,
-  /// or nullptr. Counts one hit or one miss. A slot another thread is still
-  /// computing reads as absent — callers pairing find() with insert() keep
-  /// the legacy duplicate-compute behaviour; use get_or_compute() for
-  /// single-flight resolution.
-  [[nodiscard]] const gs::GsResult* find(GenderEdge edge, GsEngine engine);
-
-  /// Stores `result` for the key; first insert wins (a concurrent duplicate
-  /// is dropped). Returns the stored value.
-  const gs::GsResult& insert(GenderEdge edge, GsEngine engine,
-                             gs::GsResult result);
-
   /// The single-flight lookup: returns the cached result, or runs `compute`
   /// exactly once across all concurrent callers of this key and caches it.
   /// `hit` (optional) reports whether this caller got a memoized result
@@ -168,8 +156,7 @@ class GsEdgeCache {
   /// invalidation resets strictly fewer slots on single-edge deltas, k >= 3).
   /// Requires external quiescence: no other thread may be touching the cache
   /// — clear() is a between-phases reset, and entry pointers handed out
-  /// before it dangle after it (true of the original global-mutex design
-  /// too).
+  /// before it dangle after it.
   std::size_t clear();
 
   [[nodiscard]] Gender genders() const noexcept { return k_; }
@@ -191,21 +178,9 @@ class GsEdgeCache {
     std::optional<gs::GsResult> value;
   };
 
-  /// Stripe count: comfortably above any realistic worker count, small
-  /// enough that the mutex/cv table stays a few KB. Must be a power of two
-  /// (stripe index is slot & (kStripes - 1)).
-  static constexpr std::size_t kStripes = 64;
-  static_assert((kStripes & (kStripes - 1)) == 0, "kStripes: power of two");
-
-  struct Stripe {
-    std::mutex m;
-    std::condition_variable cv;
-  };
-
   [[nodiscard]] std::size_t slot(GenderEdge edge, GsEngine engine) const;
-  [[nodiscard]] Stripe& stripe_for(std::size_t slot_index) const noexcept {
-    return stripes_[slot_index & (kStripes - 1)];
-  }
+  /// Resets slots [begin, end) to empty; returns how many were ready.
+  std::size_t reset_slots(std::size_t begin, std::size_t end);
 
   Gender k_;
   /// Instance generation the guard is armed against (nullopt = legacy
@@ -215,7 +190,9 @@ class GsEdgeCache {
   /// Constructed once at full size and never resized: Slot holds an atomic
   /// (immovable) and entry addresses must stay stable.
   std::vector<Slot> slots_;
-  mutable std::array<Stripe, kStripes> stripes_;
+  /// Guards every slot's state change; waiters block on cv_.
+  std::mutex mutex_;
+  std::condition_variable cv_;
   std::atomic<std::int64_t> hits_{0};
   std::atomic<std::int64_t> misses_{0};
   std::atomic<std::int64_t> single_flight_waits_{0};

@@ -90,7 +90,6 @@ RematchReport rematch(const KPartiteInstance& inst,
   // Step 2: re-solve, warm where the delta permits.
   core::BindingOptions bopts;
   bopts.engine = options.engine;
-  bopts.pool = options.pool;
   bopts.control = options.control;
   bopts.cache = options.cache;
   if (delta.shape_changed || !options.warm_start) {

@@ -25,7 +25,6 @@
 #include "core/gs_cache.hpp"
 #include "graph/binding_structure.hpp"
 #include "incremental/mutation.hpp"
-#include "parallel/thread_pool.hpp"
 #include "resilience/control.hpp"
 
 namespace kstable::incremental {
@@ -70,7 +69,6 @@ class DeltaWarmStart final : public core::WarmStartProvider {
 struct RematchOptions {
   /// Cold-fallback engine (and the engine key cached results publish under).
   core::GsEngine engine = core::GsEngine::queue;
-  ThreadPool* pool = nullptr;
   resilience::ExecControl* control = nullptr;
   /// Optional edge cache carried across re-stabilizations. rematch() performs
   /// the targeted invalidation + rebind itself; the caller only guarantees

@@ -1,7 +1,7 @@
 // Fixed-size thread pool (C++ Core Guidelines CP.40/CP.41: persistent workers,
 // no per-task thread creation; CP.20/CP.42: RAII locks, condition-variable
-// waits). Used by the parallel binding executor and the speculative parallel
-// Gale-Shapley engine.
+// waits). Used by the parallel binding executor, TreeSweep, the parallel
+// pair probes and oracle census, BatchSolver, and the serve engine.
 #pragma once
 
 #include <condition_variable>
@@ -35,7 +35,7 @@ class ThreadPool {
   }
 
   /// True when the calling thread is a worker of ANY ThreadPool. Parallel
-  /// drivers (TreeSweep, the speculative ladder, parallel pair probes) use
+  /// drivers (TreeSweep, parallel pair probes, the oracle census) use
   /// this to detect pool-within-pool nesting — e.g. a sweep running inside a
   /// BatchSolver item — and degrade to their sequential path instead of
   /// queueing a second thread complement onto an already-saturated pool

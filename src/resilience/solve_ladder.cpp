@@ -8,7 +8,6 @@
 
 #include "core/gs_cache.hpp"
 #include "core/priority_binding.hpp"
-#include "core/tree_sweep.hpp"
 #include "graph/prufer.hpp"
 #include "observability/metrics.hpp"
 #include "util/check.hpp"
@@ -89,9 +88,7 @@ FallbackReport solve_with_fallback(const KPartiteInstance& inst,
   // Distinct candidate trees, deduplicated by Prüfer code. cayley_count
   // saturates at INT64_MAX for large k, which is fine as an upper bound.
   // Attempt 0 binds along the path tree (the library default); retries draw
-  // fresh random trees from the deterministic stream, skipping repeats. The
-  // stream is shared by the sequential and speculative paths, so both see
-  // the same candidate list.
+  // fresh random trees from the deterministic stream, skipping repeats.
   std::set<std::vector<Gender>> tried;
   const std::int64_t distinct_trees = prufer::cayley_count(k);
   const auto next_candidate =
@@ -107,117 +104,59 @@ FallbackReport solve_with_fallback(const KPartiteInstance& inst,
     return tree;
   };
 
-  const bool speculate = options.speculative && options.pool != nullptr &&
-                         !ThreadPool::in_worker_thread() &&
-                         options.pool->thread_count() > 1 &&
-                         options.max_tree_attempts > 1;
-  if (speculate) {
-    // Race the strict rungs: first_stable fold = lowest-indexed candidate to
-    // succeed within its backoff-scaled budget, which is the sequential
-    // ladder's winner (see FallbackOptions::speculative for the shared-cache
-    // caveat). chunk_trees=1 maximizes how many rungs run concurrently.
-    std::vector<BindingStructure> candidates;
-    candidates.reserve(static_cast<std::size_t>(options.max_tree_attempts));
-    for (std::int32_t attempt = 0; attempt < options.max_tree_attempts;
-         ++attempt) {
-      auto tree = next_candidate(attempt);
-      if (!tree.has_value()) break;
-      candidates.push_back(std::move(*tree));
-    }
-    core::TreeSweepOptions sopts;
-    sopts.engine = options.engine;
-    sopts.pool = options.pool;
-    sopts.cache = options.cache;
-    sopts.fold = core::SweepFold::first_stable;
-    sopts.warm_start = options.warm_start;
-    sopts.per_tree_budget = options.per_attempt;
-    sopts.budget_backoff = options.backoff;
-    sopts.chunk_trees = 1;
-    ExecControl sweep_control(Budget{}, options.token);
-    sopts.control = &sweep_control;
-    try {
-      auto sweep = core::sweep_trees(inst, candidates, sopts);
-      for (auto& point : sweep.per_tree) {
-        report.executed_proposals += point.executed_proposals;
-        if (sweep.best_index >= 0 && point.index > sweep.best_index) {
-          // Speculation overshoot: rungs the sequential ladder would never
-          // have started. Logged as waste, not as attempts.
-          report.speculative_waste += point.executed_proposals;
-          continue;
-        }
-        AttemptLog log;
-        log.rung = Rung::strict_tree;
-        log.tree_edges =
-            candidates[static_cast<std::size_t>(point.index)].edges();
-        log.status = point.status;
-        if (!point.succeeded) report.status = point.status;
-        report.attempts.push_back(std::move(log));
-      }
-      if (sweep.succeeded()) {
-        report.succeeded = true;
-        report.rung = Rung::strict_tree;
-        report.status = sweep.best->status;
-        report.result = std::move(sweep.best);
-        return finalize(report);
-      }
-    } catch (const ExecutionAborted& e) {
-      // Only a cancellation escapes the raced rungs (per-candidate budget
-      // blows are folded into per_tree); it stops the whole ladder.
-      report.status = abort_status(sweep_control, e);
-      return finalize(report);
-    }
-  } else {
-    double scale = 1.0;
-    for (std::int32_t attempt = 0; attempt < options.max_tree_attempts;
-         ++attempt) {
-      auto candidate = next_candidate(attempt);
-      if (!candidate.has_value()) break;
-      const BindingStructure tree = std::move(*candidate);
+  double scale = 1.0;
+  for (std::int32_t attempt = 0; attempt < options.max_tree_attempts;
+       ++attempt) {
+    auto candidate = next_candidate(attempt);
+    if (!candidate.has_value()) break;
+    const BindingStructure tree = std::move(*candidate);
 
-      ExecControl control(scaled(options.per_attempt, scale), options.token);
-      AttemptLog log;
-      log.rung = Rung::strict_tree;
-      log.tree_edges = tree.edges();
-      try {
-        core::BindingOptions bopts{options.engine, options.pool, &control};
-        bopts.cache = options.cache;
-        bopts.warm_start = options.warm_start;
-        auto result = core::iterative_binding(inst, tree, bopts);
-        log.status = result.status;
-        report.attempts.push_back(std::move(log));
-        report.succeeded = true;
-        report.rung = Rung::strict_tree;
-        report.status = result.status;
-        report.executed_proposals += result.executed_proposals;
-        report.result = std::move(result);
-        return finalize(report);
-      } catch (const ExecutionAborted& e) {
-        log.status = abort_status(control, e);
-        report.status = log.status;
-        // The charged units of the aborted attempt are the proposals it
-        // actually executed (cache hits are never charged).
-        report.executed_proposals += log.status.proposals;
-        report.attempts.push_back(std::move(log));
-        // A cancellation is a caller decision, not a per-tree failure: stop
-        // the whole ladder instead of burning the remaining rungs.
-        if (e.reason() == AbortReason::cancelled) return finalize(report);
-        scale *= options.backoff;
-      }
+    ExecControl control(scaled(options.per_attempt, scale), options.token);
+    AttemptLog log;
+    log.rung = Rung::strict_tree;
+    log.tree_edges = tree.edges();
+    try {
+      core::BindingOptions bopts;
+      bopts.engine = options.engine;
+      bopts.control = &control;
+      bopts.cache = options.cache;
+      bopts.warm_start = options.warm_start;
+      auto result = core::iterative_binding(inst, tree, bopts);
+      log.status = result.status;
+      report.attempts.push_back(std::move(log));
+      report.succeeded = true;
+      report.rung = Rung::strict_tree;
+      report.status = result.status;
+      report.executed_proposals += result.executed_proposals;
+      report.result = std::move(result);
+      return finalize(report);
+    } catch (const ExecutionAborted& e) {
+      log.status = abort_status(control, e);
+      report.status = log.status;
+      // The charged units of the aborted attempt are the proposals it
+      // actually executed (cache hits are never charged).
+      report.executed_proposals += log.status.proposals;
+      report.attempts.push_back(std::move(log));
+      // A cancellation is a caller decision, not a per-tree failure: stop
+      // the whole ladder instead of burning the remaining rungs.
+      if (e.reason() == AbortReason::cancelled) return finalize(report);
+      scale *= options.backoff;
     }
   }
 
   if (options.allow_degraded && !options.token.cancelled()) {
     // Every strict rung failed, so the degraded attempt's budget continues
-    // the escalation: backoff^(failed strict attempts) — the same value the
-    // sequential loop accumulated multiplicatively.
-    const double scale = std::pow(
+    // the escalation: backoff^(failed strict attempts).
+    const double degraded_scale = std::pow(
         options.backoff, static_cast<double>(report.attempts.size()));
-    ExecControl control(scaled(options.per_attempt, scale), options.token);
+    ExecControl control(scaled(options.per_attempt, degraded_scale),
+                        options.token);
     AttemptLog log;
     log.rung = Rung::degraded_priority;
     try {
       core::PriorityBindingOptions popts;
-      popts.binding = {options.engine, options.pool, &control};
+      popts.binding.engine = options.engine;
+      popts.binding.control = &control;
       popts.binding.cache = options.cache;
       popts.binding.warm_start = options.warm_start;
       auto pr = core::priority_binding(inst, popts);

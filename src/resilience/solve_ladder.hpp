@@ -59,32 +59,20 @@ struct FallbackOptions {
   std::uint64_t tree_seed = 0x5eed;
   /// Shared across all attempts; cancelling stops the whole ladder.
   CancellationToken token{};
-  /// Engine/pool for the per-edge GS runs (control is owned by the ladder).
+  /// Engine for the per-edge GS runs (control is owned by the ladder).
   core::GsEngine engine = core::GsEngine::queue;
-  ThreadPool* pool = nullptr;
   /// Permit the Algorithm 2 last rung. When false the ladder is strict-only.
   bool allow_degraded = true;
-  /// Race the strict rungs speculatively instead of one at a time: with a
-  /// pool attached (and the caller not itself a pool worker), the candidate
-  /// trees are pre-generated from the same deterministic stream and swept
-  /// through core::sweep_trees' first_stable fold, each candidate under its
-  /// own backoff-scaled budget. The winner is the lowest-indexed candidate
-  /// that succeeds — with no shared cache that is exactly the sequential
-  /// ladder's winner; with a shared cache under tight budgets, which rung
-  /// wins may shift (concurrent attempts warm each other's edges), though
-  /// any given tree's matching stays bitwise-identical. Work burnt on
-  /// candidates above the winner is reported as speculative_waste.
-  bool speculative = false;
   /// Optional per-instance edge cache shared across every rung: candidate
   /// trees draw from the same k(k-1)/2 gender-pair set, so edges completed
   /// by an aborted attempt replay for free on the next one (and are not
   /// re-charged against its budget). Must be built for this instance.
   core::GsEdgeCache* cache = nullptr;
   /// Optional warm-start provider (incremental::DeltaWarmStart), threaded
-  /// into every rung's BindingOptions — strict trees, the speculative sweep,
-  /// and the degraded Algorithm 2 attempt alike. Edges outside the previous
-  /// solve's tree fall back to the cold engine (the provider answers
-  /// nullopt), so retry rungs on different trees stay correct.
+  /// into every rung's BindingOptions — strict trees and the degraded
+  /// Algorithm 2 attempt alike. Edges outside the previous solve's tree fall
+  /// back to the cold engine (the provider answers nullopt), so retry rungs
+  /// on different trees stay correct.
   const core::WarmStartProvider* warm_start = nullptr;
 };
 
@@ -106,10 +94,6 @@ struct FallbackReport {
   /// cache hits contribute nothing. The multi-tree work the cache saves is
   /// visible here.
   std::int64_t executed_proposals = 0;
-  /// Of executed_proposals, the share burnt by speculative strict rungs
-  /// above the winning candidate — work the sequential ladder would never
-  /// have started (0 unless FallbackOptions::speculative).
-  std::int64_t speculative_waste = 0;
   /// Per-ladder-run record (engine "ladder", attempts count, final rung,
   /// cumulative counters) for the observability exporters.
   obs::SolveTelemetry telemetry;

@@ -31,6 +31,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// METRICS requests sent after the workload before the scrape gives up. A
+/// seeded service fault (frame_parse, respond) eats at most one exchange
+/// per fire, so a few attempts make a lost scrape vanishingly rare.
+constexpr std::uint64_t kMetricsAttempts = 4;
+
 Clock::duration ms(double value) {
   return std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::milli>(value));
@@ -281,10 +286,16 @@ PingReport run_ping(const PingOptions& options, bool fetch_metrics) {
   }
 
   if (fetch_metrics && fd >= 0) {
-    // One METRICS round-trip after the workload; id beyond the workload
-    // range so a stale SOLVE answer cannot be mistaken for it.
-    const std::uint64_t metrics_id = states.size() + 1;
-    if (send_frame(fd, Frame::request(FrameKind::metrics, metrics_id))) {
+    // METRICS round trips after the workload, each with a fresh id beyond
+    // the workload range (so a stale SOLVE answer cannot be mistaken for
+    // one) and its own response_timeout_ms. A late STATS for an earlier
+    // attempt is as good as the current one.
+    const std::uint64_t first_id = states.size() + 1;
+    const std::uint64_t last_id = first_id + kMetricsAttempts - 1;
+    bool connected = true;
+    for (std::uint64_t id = first_id;
+         id <= last_id && connected && report.metrics_body.empty(); ++id) {
+      if (!send_frame(fd, Frame::request(FrameKind::metrics, id))) break;
       const auto deadline = Clock::now() + ms(options.response_timeout_ms);
       while (Clock::now() < deadline) {
         if (buffer->in_avail() <= 0) {
@@ -299,10 +310,14 @@ PingReport run_ping(const PingOptions& options, bool fetch_metrics) {
         } catch (const ExecutionAborted&) {
           continue;  // injected parse fault: frame consumed, stream synced
         } catch (const ParseError&) {
+          frame = std::nullopt;
+        }
+        if (!frame) {
+          connected = false;
           break;
         }
-        if (!frame) break;
-        if (frame->kind == FrameKind::stats && frame->id == metrics_id) {
+        if (frame->kind == FrameKind::stats && frame->id >= first_id &&
+            frame->id <= id) {
           report.metrics_body = frame->body;
           break;
         }

@@ -67,8 +67,10 @@ std::vector<std::string> make_request_bodies(const PingOptions& options);
 void emit_request_frames(const PingOptions& options, std::ostream& os);
 
 /// Drives the workload against 127.0.0.1:port. When `fetch_metrics` is
-/// true, a METRICS request follows the workload and the STATS body lands in
-/// the report. Never throws for server-behavior failures — they are counted.
+/// true, a METRICS request follows the workload, resent under a fresh id
+/// after each response_timeout_ms without a STATS answer (a few attempts),
+/// and the STATS body lands in the report. Never throws for server-behavior
+/// failures — they are counted.
 PingReport run_ping(const PingOptions& options, bool fetch_metrics = false);
 
 }  // namespace kstable::serve

@@ -321,7 +321,7 @@ TEST(GsEdgeCache, RebindRequiresMatchingGenderCount) {
 }
 
 // ---------------------------------------------------------------------------
-// Striped single-flight concurrency (the TreeSweep fan-out shape). These
+// Single-flight concurrency (the TreeSweep fan-out shape). These
 // tests are the TSan targets for the cache: 8+ threads hammering every key of
 // one cache, with per-key compute counters proving the exactly-once contract.
 
@@ -372,7 +372,7 @@ std::vector<int> hammer(GsEdgeCache& cache, Gender k, int threads,
         });
         calls.fetch_add(1);
         // Served value is the published one for THIS key, never a
-        // neighbouring slot's (the striped locks guard slots, not keys).
+        // neighbouring slot's.
         if (r.proposer_gender != edge.a || r.responder_gender != edge.b) {
           std::abort();
         }

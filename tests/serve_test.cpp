@@ -487,6 +487,41 @@ TEST(ServeDrain, DrainsInFlightSolvesCleanly) {
 
 #if !defined(KSTABLE_NO_FAULT_INJECTION)
 
+TEST(ServeChaos, MetricsScrapeSurvivesOneDroppedStatsResponse) {
+  ServeLimits limits;
+  limits.drain_deadline_ms = 10000.0;
+  FrameLog log;
+  ServeEngine engine(limits, log.sink());
+  TcpServer server(engine, 0);
+  std::thread server_thread([&server] { server.run(); });
+
+  // Three SOLVE answers pass; the fourth response, the first METRICS
+  // exchange's STATS, is dropped. Only a retried scrape can fill the body.
+  constexpr std::int64_t kRequests = 3;
+  FaultConfig drop_first_stats;
+  drop_first_stats.fire_after = kRequests;
+  drop_first_stats.max_fires = 1;
+  ScopedFault fault("serve/respond", drop_first_stats);
+
+  PingOptions options;
+  options.port = server.port();
+  options.requests = static_cast<std::size_t>(kRequests);
+  options.k = 3;
+  options.n = 2;
+  options.response_timeout_ms = 1000.0;
+  const auto report = run_ping(options, /*fetch_metrics=*/true);
+
+  engine.request_drain();
+  server_thread.join();
+  EXPECT_TRUE(engine.drain().clean);
+
+  EXPECT_EQ(report.acked, static_cast<std::size_t>(kRequests));
+  EXPECT_EQ(report.resends, 0u);
+  EXPECT_EQ(fault.fires(), 1);
+  EXPECT_GE(engine.stats().metrics_requests.load(), 2);
+  EXPECT_FALSE(report.metrics_body.empty());
+}
+
 TEST(ServeChaos, TenThousandRequestSoakUnderAllServiceFaults) {
   ServeLimits limits;
   limits.workers = 2;

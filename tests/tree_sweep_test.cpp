@@ -1,8 +1,8 @@
-// Tests for core::TreeSweep: the work-stealing parallel sweep must be
-// schedule-invariant — best tree, score table, and every per-tree matching
-// bitwise-identical to the sequential sweep over all k^(k-2) trees — and its
-// integrations (pair probes, oracle census, speculative ladder, BatchSolver
-// sweep_best) must degrade correctly under pool nesting.
+// Tests for core::TreeSweep: the parallel sweep must be schedule-invariant —
+// best tree, score table, and every per-tree matching bitwise-identical to
+// the sequential sweep over all k^(k-2) trees — and its integrations (pair
+// probes, oracle census, BatchSolver sweep_best) must degrade correctly
+// under pool nesting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 #include "parallel/thread_pool.hpp"
 #include "prefs/generators.hpp"
 #include "resilience/control.hpp"
-#include "resilience/solve_ladder.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -54,7 +53,6 @@ TEST_P(SweepDeterminismTest, ParallelMatchesSequentialBitwise) {
   GsEdgeCache par_cache(k);
   par.cache = &par_cache;
   par.pool = &pool;
-  par.chunk_trees = 2;  // small chunks: force many claims and steals
   const TreeSweepResult parallel = sweep_all_trees(inst, par);
 
   EXPECT_EQ(parallel.stats.workers, pool.thread_count());
@@ -80,7 +78,6 @@ TEST_P(SweepDeterminismTest, ParallelMatchesSequentialBitwise) {
     const TreePoint& s = sequential.per_tree[i];
     ASSERT_EQ(p.index, s.index);
     EXPECT_EQ(p.prufer, s.prufer);
-    EXPECT_TRUE(p.succeeded);
     EXPECT_EQ(p.bound_pair_cost, s.bound_pair_cost);
     EXPECT_EQ(p.all_pairs_cost, s.all_pairs_cost);
     EXPECT_EQ(p.total_proposals, s.total_proposals);
@@ -109,7 +106,6 @@ TEST(TreeSweepTest, SharedCacheReportsZeroDuplicateComputes) {
   TreeSweepOptions options;
   options.pool = &pool;
   options.cache = &cache;
-  options.chunk_trees = 1;  // maximize concurrent misses on the same edges
   const TreeSweepResult result = sweep_all_trees(inst, options);
 
   // Zero duplicate GS computations under concurrency: every stored entry
@@ -144,7 +140,6 @@ TEST(TreeSweepTest, NestedSweepFallsBackToSequential) {
 
   EXPECT_TRUE(nested.stats.nested_fallback);
   EXPECT_EQ(nested.stats.workers, 1u);
-  EXPECT_EQ(nested.stats.steals, 0);
   EXPECT_EQ(nested.best_index, direct.best_index);
   EXPECT_EQ(nested.best_cost, direct.best_cost);
   EXPECT_EQ(nested.matching(), direct.matching());
@@ -165,63 +160,50 @@ TEST(TreeSweepTest, SharedControlAbortsTheWholeSweep) {
 
 TEST(TreeSweepTest, RejectsBadChunkAndTreeGuard) {
   const auto inst = test_instance(3, 4, 0x1dea);
-  TreeSweepOptions bad_chunk;
-  bad_chunk.chunk_trees = 0;
-  EXPECT_THROW(sweep_all_trees(inst, bad_chunk), ContractViolation);
+  ThreadPool pool(2);
+  EXPECT_THROW(sweep_index_space(10, pool, 0,
+                                 [](std::size_t, std::int64_t, std::int64_t) {}),
+               ContractViolation);
   TreeSweepOptions tiny_guard;
   tiny_guard.max_trees = 2;
   EXPECT_THROW(sweep_all_trees(inst, tiny_guard), ContractViolation);
 }
 
-TEST(TreeSweepTest, FirstStableFoldPicksLowestIndex) {
-  const Gender k = 4;
-  const auto inst = test_instance(k, 4, 0x57ab);
-  std::vector<BindingStructure> candidates = {
-      trees::path(k), trees::star(k, 0), trees::star(k, 2)};
-
-  for (const bool use_pool : {false, true}) {
-    ThreadPool pool(4);
-    TreeSweepOptions options;
-    options.fold = SweepFold::first_stable;
-    options.pool = use_pool ? &pool : nullptr;
-    options.chunk_trees = 1;
-    const TreeSweepResult result = sweep_trees(inst, candidates, options);
-    // Theorem 2: every spanning tree succeeds, so candidate 0 always wins.
-    EXPECT_EQ(result.best_index, 0);
-    ASSERT_TRUE(result.succeeded());
-    EXPECT_EQ(result.matching(),
-              iterative_binding(inst, candidates[0], {}).matching());
-    // Every index was either evaluated or early-exit skipped.
-    EXPECT_EQ(result.stats.trees + result.stats.skipped,
-              static_cast<std::int64_t>(candidates.size()));
-  }
-}
-
 TEST(TreeSweepTest, SweepIndexSpaceCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
-  const std::int64_t count = 1000;
-  std::vector<std::atomic<std::int32_t>> seen(count);
-  std::mutex worker_mutex;
-  std::vector<std::size_t> claiming_workers;
-  const SweepSchedule schedule = sweep_index_space(
-      count, pool, 7,
-      [&](std::size_t worker, std::int64_t begin, std::int64_t end) {
-        ASSERT_LT(begin, end);
-        for (std::int64_t i = begin; i < end; ++i) {
-          seen[static_cast<std::size_t>(i)].fetch_add(1);
-        }
-        std::scoped_lock lock(worker_mutex);
-        claiming_workers.push_back(worker);
-      });
-  for (std::int64_t i = 0; i < count; ++i) {
-    EXPECT_EQ(seen[static_cast<std::size_t>(i)].load(), 1) << "index " << i;
-  }
-  EXPECT_EQ(schedule.workers, pool.thread_count());
-  EXPECT_GE(schedule.chunks, (count + 6) / 7);
-  EXPECT_GE(schedule.chunks, static_cast<std::int64_t>(
-                                 claiming_workers.size()));
-  for (const std::size_t w : claiming_workers) {
-    EXPECT_LT(w, pool.thread_count());
+  struct Case {
+    std::int64_t count;
+    std::int64_t chunk;
+  };
+  // Empty space, fewer indices than workers, a chunk larger than the whole
+  // space, and a many-chunk space whose last block is short.
+  for (const Case c : {Case{0, 3}, Case{3, 1}, Case{5, 64}, Case{1000, 7}}) {
+    std::vector<std::atomic<std::int32_t>> seen(
+        static_cast<std::size_t>(c.count));
+    std::mutex worker_mutex;
+    std::vector<std::size_t> claiming_workers;
+    const SweepSchedule schedule = sweep_index_space(
+        c.count, pool, c.chunk,
+        [&](std::size_t worker, std::int64_t begin, std::int64_t end) {
+          ASSERT_LT(begin, end);
+          ASSERT_LE(end - begin, c.chunk);
+          for (std::int64_t i = begin; i < end; ++i) {
+            seen[static_cast<std::size_t>(i)].fetch_add(1);
+          }
+          std::scoped_lock lock(worker_mutex);
+          claiming_workers.push_back(worker);
+        });
+    for (std::int64_t i = 0; i < c.count; ++i) {
+      EXPECT_EQ(seen[static_cast<std::size_t>(i)].load(), 1)
+          << "count " << c.count << " chunk " << c.chunk << " index " << i;
+    }
+    EXPECT_EQ(schedule.workers, pool.thread_count());
+    EXPECT_EQ(schedule.chunks, (c.count + c.chunk - 1) / c.chunk);
+    EXPECT_EQ(schedule.chunks,
+              static_cast<std::int64_t>(claiming_workers.size()));
+    for (const std::size_t w : claiming_workers) {
+      EXPECT_LT(w, pool.thread_count());
+    }
   }
 }
 
@@ -267,56 +249,6 @@ TEST(TreeSweepTest, ParallelOracleCensusMatchesSequential) {
   if (sequential.witness.has_value()) {
     // Same witness: the enumeration-order-first stable matching.
     EXPECT_EQ(*parallel.witness, *sequential.witness);
-  }
-}
-
-TEST(TreeSweepTest, SpeculativeLadderMatchesSequentialWithoutCache) {
-  const Gender k = 4;
-  const auto inst = test_instance(k, 5, 0x1add);
-  ThreadPool pool(4);
-
-  // Unlimited budgets: the path tree wins immediately in both modes.
-  {
-    resilience::FallbackOptions seq;
-    resilience::FallbackOptions spec = seq;
-    spec.speculative = true;
-    spec.pool = &pool;
-    const auto a = resilience::solve_with_fallback(inst, seq);
-    const auto b = resilience::solve_with_fallback(inst, spec);
-    ASSERT_TRUE(a.succeeded);
-    ASSERT_TRUE(b.succeeded);
-    EXPECT_EQ(b.matching(), a.matching());
-    EXPECT_EQ(b.rung, a.rung);
-    EXPECT_EQ(b.attempts.size(), a.attempts.size());
-    // Candidates above the winner may have been raced before the success
-    // floor published; that work is waste, never an attempt.
-    EXPECT_GE(b.speculative_waste, 0);
-  }
-
-  // Tight first budget, no shared cache: attempt 0 blows its budget in both
-  // modes and attempt 1 wins — the speculative winner and logs match the
-  // sequential ladder exactly (per-attempt work is cache-free, hence
-  // deterministic).
-  {
-    resilience::FallbackOptions seq;
-    seq.per_attempt = resilience::Budget::proposals(1);
-    seq.backoff = 1e6;
-    seq.max_tree_attempts = 3;
-    resilience::FallbackOptions spec = seq;
-    spec.speculative = true;
-    spec.pool = &pool;
-    const auto a = resilience::solve_with_fallback(inst, seq);
-    const auto b = resilience::solve_with_fallback(inst, spec);
-    ASSERT_TRUE(a.succeeded);
-    ASSERT_TRUE(b.succeeded);
-    EXPECT_EQ(a.rung, resilience::Rung::strict_tree);
-    EXPECT_EQ(b.rung, a.rung);
-    ASSERT_EQ(b.attempts.size(), a.attempts.size());
-    for (std::size_t i = 0; i < a.attempts.size(); ++i) {
-      EXPECT_EQ(b.attempts[i].tree_edges, a.attempts[i].tree_edges);
-      EXPECT_EQ(b.attempts[i].status.ok(), a.attempts[i].status.ok());
-    }
-    EXPECT_EQ(b.matching(), a.matching());
   }
 }
 
