@@ -3,7 +3,8 @@
 // Every bench binary first prints its paper-shaped report (the rows a figure
 // or theorem in the paper corresponds to), then runs its google-benchmark
 // microbenchmarks. EXPERIMENTS.md records the printed reports against the
-// paper's claims.
+// paper's claims. The report goes to stdout, or to stderr when
+// --benchmark_format asks for JSON or CSV on stdout, so that stdout parses.
 //
 // Each binary also attaches the process-wide kstable metrics registry
 // (proposals, cache hits, ladder rungs, ... — docs/OBSERVABILITY.md) to the
@@ -45,6 +46,28 @@ inline bool wants_benchmark_out(int argc, char** argv) {
     }
   }
   return false;
+}
+
+/// True when the last --benchmark_format flag names a machine-readable
+/// format (json, csv) rather than the default console table.
+inline bool wants_machine_stdout(int argc, char** argv) {
+  constexpr std::string_view flag = "--benchmark_format=";
+  bool machine = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg(argv[i]);
+    if (arg.rfind(flag, 0) == 0) machine = arg.substr(flag.size()) != "console";
+  }
+  return machine;
+}
+
+/// Runs the report with std::cout redirected to stderr when stdout carries
+/// google-benchmark's machine-readable output.
+template <typename Report>
+void print_report(Report&& report, int argc, char** argv) {
+  std::streambuf* const stdout_buf = std::cout.rdbuf();
+  if (wants_machine_stdout(argc, argv)) std::cout.rdbuf(std::cerr.rdbuf());
+  report();
+  std::cout.rdbuf(stdout_buf);
 }
 
 /// BENCH_*.json files feed EXPERIMENTS.md and cross-run comparisons, so a
@@ -121,7 +144,7 @@ inline void attach_metrics_context() {
   int main(int argc, char** argv) {                                     \
     if (::kstable::benchsupport::refuse_non_release_export(argc, argv)) \
       return 2;                                                         \
-    report_fn();                                                        \
+    ::kstable::benchsupport::print_report(report_fn, argc, argv);       \
     benchmark::Initialize(&argc, argv);                                 \
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;   \
     ::kstable::benchsupport::attach_metrics_context();                  \

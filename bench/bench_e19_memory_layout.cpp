@@ -1,5 +1,5 @@
 // E19 — large-n memory layout: compact rank tables, arena storage, and the
-// SIMD scan kernels (docs/PERFORMANCE.md §Compact memory layout).
+// queue vs rounds schedules (docs/PERFORMANCE.md §Compact memory layout).
 //
 // Claims regenerated:
 //  * the compact layout (no same-gender diagonal rows + width-adaptive
@@ -12,21 +12,15 @@
 //  * the rounds schedule beats the queue schedule on the same instance
 //    (proposals within a round are independent, so their cache misses
 //    overlap), and 16-bit ranks beat 32-bit by halving the random-read
-//    footprint;
-//  * the vectorized row-scan kernels (gs/simd.hpp) give the streaming
-//    bandwidth ceiling that contextualizes the random-access numbers.
+//    footprint.
 //
 // The n sweep is CI-safe by default (max n = 8192 ≈ 0.8 GB per instance);
-// set KSTABLE_E19_MAX_N (e.g. 32768) for big-memory runs. Compile-time knob
-// KSTABLE_ARENA_EXTENT_BYTES sets the arena extent granularity.
+// set KSTABLE_E19_MAX_N (e.g. 32768) for big-memory runs.
 
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
-#include "gs/scan_gs.hpp"
-#include "gs/simd.hpp"
 
 namespace {
 
@@ -60,8 +54,7 @@ void report() {
   std::cout << "E19: large-n memory layout — compact ranks, arena storage, "
                "queue vs rounds schedules\n"
             << "(max n = " << max_n
-            << "; extend with KSTABLE_E19_MAX_N; SIMD dispatch: "
-            << gs::simd::to_string(gs::simd::best_isa()) << ")\n\n";
+            << "; extend with KSTABLE_E19_MAX_N)\n\n";
 
   TableWriter footprint(
       "Table footprint vs the seed layout (k=2, uniform)",
@@ -171,55 +164,6 @@ BENCHMARK(bm_gs_queue_narrow)->Apply(e19_sizes);
 BENCHMARK(bm_gs_queue_wide)->Apply(e19_sizes);
 BENCHMARK(bm_gs_rounds_narrow)->Apply(e19_sizes);
 BENCHMARK(bm_gs_rounds_wide)->Apply(e19_sizes);
-
-// SIMD scan accept vs the scalar scan ablation: the vectorized first-of-pair
-// kernel against the same O(n) list walks.
-void bm_scan_scalar(benchmark::State& state) {
-  Rng rng(194);
-  const auto inst = gen::uniform(2, static_cast<Index>(state.range(0)), rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gs::gale_shapley_scan(inst, 0, 1).proposals);
-  }
-}
-BENCHMARK(bm_scan_scalar)->Arg(1024)->Arg(2048);
-
-void bm_scan_simd(benchmark::State& state) {
-  Rng rng(194);
-  const auto inst = gen::uniform(2, static_cast<Index>(state.range(0)), rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gs::gale_shapley_scan_simd(inst, 0, 1).proposals);
-  }
-}
-BENCHMARK(bm_scan_simd)->Arg(1024)->Arg(2048);
-
-// Streaming-bandwidth probes: vectorized min-scan over one rank row per
-// iteration. SetBytesProcessed makes the reported rate the layout's
-// sequential-read ceiling at each width.
-void bm_argmin_u16(benchmark::State& state) {
-  const auto len = static_cast<std::size_t>(state.range(0));
-  Rng rng(195);
-  std::vector<std::uint16_t> row(len);
-  for (auto& v : row) v = static_cast<std::uint16_t>(rng.below(65535));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gs::simd::argmin_u16(row.data(), len));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(len * sizeof(row[0])));
-}
-BENCHMARK(bm_argmin_u16)->Arg(4096)->Arg(65536);
-
-void bm_argmin_u32(benchmark::State& state) {
-  const auto len = static_cast<std::size_t>(state.range(0));
-  Rng rng(195);
-  std::vector<std::uint32_t> row(len);
-  for (auto& v : row) v = static_cast<std::uint32_t>(rng.below(1u << 30));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gs::simd::argmin_u32(row.data(), len));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(len * sizeof(row[0])));
-}
-BENCHMARK(bm_argmin_u32)->Arg(4096)->Arg(65536);
 
 }  // namespace
 

@@ -48,7 +48,7 @@ struct GsResult {
   /// Wall time of the engine run in milliseconds (0 for cache replays).
   double wall_ms = 0.0;
   /// Static-lifetime label of the engine that produced this result
-  /// ("gs.queue", "gs.rounds", "gs.scan", "gs.scan_simd", "gs.warm").
+  /// ("gs.queue", "gs.rounds", "gs.scan", "gs.warm").
   const char* engine = "";
 };
 

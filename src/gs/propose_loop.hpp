@@ -20,9 +20,7 @@
 //   * Accept   — how the responder compares challenger and holder:
 //       RankAccept     — two rank-table loads (the production path);
 //       ScanAccept     — walk the responder's list (the rank-table ablation,
-//                        O(n) per compare);
-//       SimdScanAccept — the same walk with the vectorized first-of-pair
-//                        kernel (gs/simd.hpp) on contiguous rows.
+//                        O(n) per compare).
 //
 // GS is confluent, so every (Schedule, Accept) flavour reaches the same
 // proposer-optimal matching with the same proposal count; Accept never
@@ -35,7 +33,6 @@
 #include <vector>
 
 #include "gs/gale_shapley.hpp"
-#include "gs/simd.hpp"
 #include "prefs/implicit/pref_view.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -92,28 +89,6 @@ struct ScanAccept {
     KSTABLE_REQUIRE(false, "neither " << challenger << " nor " << holder
                                       << " on responder " << r << "'s list");
     return false;
-  }
-};
-
-/// ScanAccept with the vectorized first-of-pair kernel, 8/4 lanes at a time.
-/// The kernel needs the row in contiguous memory; the implicit backend has
-/// none, so it takes the scalar walk (identical earliest-hit verdict).
-struct SimdScanAccept {
-  template <typename View>
-  static bool prefers(const View& view, Index r, Index n, Index challenger,
-                      Index holder) {
-    if constexpr (View::kContiguousRows) {
-      const auto list = view.resp_pref_span(r, n);
-      const std::size_t pos =
-          simd::first_of_pair(list.data(), list.size(), challenger, holder);
-      KSTABLE_REQUIRE(pos < list.size(), "neither " << challenger << " nor "
-                                                    << holder
-                                                    << " on responder " << r
-                                                    << "'s list");
-      return list[pos] == challenger;
-    } else {
-      return ScanAccept::prefers(view, r, n, challenger, holder);
-    }
   }
 };
 
@@ -205,7 +180,7 @@ void finish(const KPartiteInstance& inst, const GsResult& result);
 /// flavour: the shared preamble, an all-free start, one backend + width
 /// dispatch, the propose loop, and the perfect-matching postcondition.
 /// Into-style: zero heap allocations once `workspace` and `result` are warm.
-/// The named engines (gale_shapley_queue, _rounds, _scan, _scan_simd) are
+/// The named engines (gale_shapley_queue, _rounds, _scan) are
 /// this template plus an engine label and their counters.
 template <typename Schedule, typename Accept>
 void solve(const KPartiteInstance& inst, Gender i, Gender j,

@@ -4,11 +4,10 @@
 // std::vectors sized cell-by-cell. At the large-n scale the ROADMAP targets
 // (10^5-10^6 agents) those tables ARE the working set, so their layout is
 // managed explicitly, in the style of tarantool's bps_tree/matras allocator
-// (SNIPPETS.md): storage is requested in compile-time-sized *extents*
-// (KSTABLE_ARENA_EXTENT_BYTES, default 16 KiB), each table is carved out of
-// the slab at a 64-byte boundary, and the whole instance owns exactly one
-// allocation — no per-row vectors, no interleaved headers, nothing between
-// consecutive rows of the hot tables.
+// (SNIPPETS.md): storage is requested in fixed 16 KiB *extents*, each table
+// is carved out of the slab at a 64-byte boundary, and the whole instance
+// owns exactly one allocation — no per-row vectors, no interleaved headers,
+// nothing between consecutive rows of the hot tables.
 //
 // Sizing is overflow-checked end to end: every multiply/add that feeds the
 // slab size goes through checked_mul/checked_add, and a request that cannot
@@ -19,36 +18,21 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <new>
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#include <unistd.h>
-#endif
 
 #include "resilience/errors.hpp"
 
 namespace kstable::prefs {
 
-/// Compile-time extent (block) size of the arena, in bytes. Tunable the same
-/// way bps_tree tunes its block size: -DKSTABLE_ARENA_EXTENT_BYTES=<n> at
-/// configure time. Must be a power of two and a multiple of the 64-byte
-/// carve alignment; 16 KiB matches matras' default extent and keeps slack
-/// under 0.1% for every instance above n ≈ 64.
-#ifndef KSTABLE_ARENA_EXTENT_BYTES
-#define KSTABLE_ARENA_EXTENT_BYTES 16384
-#endif
-inline constexpr std::size_t kArenaExtentBytes = KSTABLE_ARENA_EXTENT_BYTES;
-static_assert((kArenaExtentBytes & (kArenaExtentBytes - 1)) == 0,
-              "KSTABLE_ARENA_EXTENT_BYTES must be a power of two");
-static_assert(kArenaExtentBytes >= 64,
-              "KSTABLE_ARENA_EXTENT_BYTES must cover one cache line");
+/// Extent (block) size of the arena, in bytes: a power of two and a multiple
+/// of the 64-byte carve alignment. 16 KiB matches matras' default extent and
+/// keeps slack under 0.1% for every instance above n ≈ 64.
+inline constexpr std::size_t kArenaExtentBytes = 16384;
 
-/// Carve alignment inside the slab: one x86/ARM cache line, which is also
-/// enough for any 512-bit vector load the SIMD scan kernels issue.
+/// Carve alignment inside the slab: one x86/ARM cache line, so each table
+/// starts on a line of its own.
 inline constexpr std::size_t kArenaAlign = 64;
 
 /// a * b, or throws ParseError if the product does not fit std::size_t.
@@ -75,45 +59,6 @@ inline std::size_t round_up(std::size_t bytes, std::size_t granule) {
   return checked_add(bytes, granule - 1) & ~(granule - 1);
 }
 
-/// True when KSTABLE_ARENA_HUGEPAGES=1 (checked once per process): newly
-/// allocated slabs are advised MADV_HUGEPAGE so the kernel backs them with
-/// transparent huge pages where it can. Opt-in because THP helps the big
-/// sequential rank tables (fewer dTLB misses on the random-probe side; see
-/// docs/PERFORMANCE.md §Huge pages) but can cost latency/memory on small
-/// instances. No-op on non-Linux builds and when the env var is unset.
-inline bool arena_hugepages_requested() noexcept {
-#if defined(__linux__)
-  static const bool requested = [] {
-    const char* env = std::getenv("KSTABLE_ARENA_HUGEPAGES");
-    return env != nullptr && env[0] == '1' && env[1] == '\0';
-  }();
-  return requested;
-#else
-  return false;
-#endif
-}
-
-/// Advises [addr, addr+bytes) toward transparent huge pages. madvise needs
-/// page-aligned addresses and the slab is only 64-byte aligned, so only the
-/// page-aligned interior range is advised; failure (old kernel, THP disabled
-/// system-wide) is deliberately ignored — the knob is advisory.
-inline void arena_advise_hugepages(std::byte* addr,
-                                   std::size_t bytes) noexcept {
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-  const auto lo = reinterpret_cast<std::uintptr_t>(addr);
-  const std::uintptr_t first = (lo + page - 1) & ~(page - 1);
-  const std::uintptr_t last = (lo + bytes) & ~(page - 1);
-  if (last > first) {
-    (void)::madvise(reinterpret_cast<void*>(first), last - first,
-                    MADV_HUGEPAGE);
-  }
-#else
-  (void)addr;
-  (void)bytes;
-#endif
-}
-
 /// One aligned slab, allocated once at construction. Copy duplicates the
 /// bytes (instances are value types: the catalog and the shrinker copy
 /// them); move steals the slab. Never grows: an arena is sized for exactly
@@ -130,9 +75,6 @@ class PrefArena {
     if (bytes_ == 0) bytes_ = kArenaExtentBytes;
     slab_.reset(static_cast<std::byte*>(
         ::operator new(bytes_, std::align_val_t{kArenaAlign})));
-    if (arena_hugepages_requested()) {
-      arena_advise_hugepages(slab_.get(), bytes_);
-    }
     std::memset(slab_.get(), 0, bytes_);
   }
 
@@ -140,9 +82,6 @@ class PrefArena {
     if (other.slab_ != nullptr) {
       slab_.reset(static_cast<std::byte*>(
           ::operator new(bytes_, std::align_val_t{kArenaAlign})));
-      if (arena_hugepages_requested()) {
-        arena_advise_hugepages(slab_.get(), bytes_);
-      }
       std::memcpy(slab_.get(), other.slab_.get(), bytes_);
     }
   }
@@ -155,9 +94,6 @@ class PrefArena {
 
   /// Extent-rounded slab size (0 for a default-constructed arena).
   [[nodiscard]] std::size_t capacity() const noexcept { return bytes_; }
-  [[nodiscard]] std::size_t extents() const noexcept {
-    return bytes_ / kArenaExtentBytes;
-  }
 
   /// Typed pointer to `offset` bytes into the slab. The offset must be
   /// 64-byte aligned (carves are laid out that way by the owner).

@@ -18,8 +18,6 @@
 // per solve; everything inside is monomorphized.
 #pragma once
 
-#include <span>
-
 #include "prefs/kpartite.hpp"
 
 namespace kstable::prefs {
@@ -36,11 +34,6 @@ class ExplicitView {
     const R* ranks;
     const Index* prefs;
   };
-  /// Responder pref rows are contiguous memory (the SIMD scan kernel's
-  /// requirement); ImplicitView says false and scan_simd falls back to the
-  /// generic walk there.
-  static constexpr bool kContiguousRows = true;
-
   ExplicitView(const KPartiteInstance& inst, Gender i, Gender j) noexcept
       : pref_(inst.pref_row({i, 0}, j).data()),
         resp_pref_(inst.pref_row({j, 0}, i).data()),
@@ -63,12 +56,6 @@ class ExplicitView {
                                           Index c) noexcept {
     return row.prefs[static_cast<std::size_t>(c)];
   }
-  /// Responder r's whole pref row, for the vectorized first-of-pair kernel.
-  [[nodiscard]] std::span<const Index> resp_pref_span(Index r,
-                                                      Index n) const noexcept {
-    return {resp_pref_ + static_cast<std::size_t>(r) * stride_,
-            static_cast<std::size_t>(n)};
-  }
 
  private:
   const Index* pref_;       ///< pref row base of proposer (i, 0) over j
@@ -85,7 +72,6 @@ class ImplicitView {
  public:
   using Rank = std::uint32_t;
   using RespRow = imp::ImplicitPrefs::Row;
-  static constexpr bool kContiguousRows = false;
 
   ImplicitView(const KPartiteInstance& inst, Gender i, Gender j) noexcept
       : gen_(&inst.implicit_prefs()), i_(i), j_(j) {}

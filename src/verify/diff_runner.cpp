@@ -128,8 +128,6 @@ gs::GsResult gs_engine_checks(const KPartiteInstance& inst, Gender i, Gender j,
     sabotage_gs_result(scan);
   }
   compare(scan, "gs.engine.scan.bitwise", "gs.engine.scan.proposals");
-  compare(gs::gale_shapley_scan_simd(inst, i, j),
-          "gs.engine.scan_simd.bitwise", "gs.engine.scan_simd.proposals");
   return reference;
 }
 
@@ -270,8 +268,6 @@ void implicit_checks(const Recorder& rec) {
                 "implicit.rounds.bitwise", "implicit.rounds.proposals");
         compare(gs::gale_shapley_scan(implicit, i, j),
                 "implicit.scan.bitwise", "implicit.scan.proposals");
-        compare(gs::gale_shapley_scan_simd(implicit, i, j),
-                "implicit.scan_simd.bitwise", "implicit.scan_simd.proposals");
       }
     }
 

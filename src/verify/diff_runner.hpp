@@ -6,8 +6,8 @@
 //
 //   bitwise agreement (GS is confluent; the caches and the ladder are
 //   documented as semantically invisible):
-//     * gs queue vs rounds vs scan vs scan_simd — identical match arrays AND
-//       identical proposal counts for every ordered gender pair;
+//     * gs queue vs rounds vs scan — identical match arrays AND identical
+//       proposal counts for every ordered gender pair;
 //     * iterative_binding vs sweep_trees on the same (path) tree;
 //     * binding with no cache vs a single-flight GsEdgeCache, including a
 //       second cached pass (all hits) — replay must equal compute;

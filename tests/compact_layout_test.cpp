@@ -1,8 +1,7 @@
 // Tests for the compact memory layout (ISSUE 7 tentpole): width-adaptive
 // rank tables (prefs/compact_ranks.hpp), the extent-granular arena slab
 // (prefs/arena.hpp), overflow-checked instance sizing, the re-laid-width
-// agreement contract, and the SIMD row-scan kernels (gs/simd.hpp) pinned
-// against their scalar references.
+// agreement contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,12 +12,9 @@
 #include <limits>
 #include <new>
 #include <string>
-#include <vector>
 
 #include "graph/binding_structure.hpp"
 #include "gs/gale_shapley.hpp"
-#include "gs/scan_gs.hpp"
-#include "gs/simd.hpp"
 #include "prefs/arena.hpp"
 #include "prefs/compact_ranks.hpp"
 #include "prefs/generators.hpp"
@@ -169,26 +165,6 @@ TEST(ArenaSizing, SlabIsExtentRoundedAndAligned) {
   EXPECT_EQ(prefs::round_up(0, 4096), 0u);
 }
 
-TEST(ArenaSizing, HugepageAdviceIsSafeOnAnySlab) {
-  // The KSTABLE_ARENA_HUGEPAGES env knob is latched process-wide at first
-  // allocation, so this exercises the advice path directly: madvise only
-  // touches the page-aligned interior of the 64-byte-aligned slab, ignores
-  // kernel refusal, and must leave the bytes untouched on every platform
-  // (non-Linux builds compile it to a no-op).
-  prefs::PrefArena arena(3 * prefs::kArenaExtentBytes + 7);
-  auto* p = arena.at<std::uint8_t>(0);
-  for (std::size_t i = 0; i < arena.capacity(); ++i) {
-    p[i] = static_cast<std::uint8_t>(i * 31 + 5);
-  }
-  prefs::arena_advise_hugepages(arena.at<std::byte>(0), arena.capacity());
-  for (std::size_t i = 0; i < arena.capacity(); ++i) {
-    ASSERT_EQ(p[i], static_cast<std::uint8_t>(i * 31 + 5));
-  }
-  // Sub-page slivers round to an empty interior range: still a no-op.
-  prefs::arena_advise_hugepages(arena.at<std::byte>(64), 128);
-  (void)prefs::arena_hugepages_requested();  // env latch is callable anywhere
-}
-
 TEST(ArenaSizing, CopyAndMovePreserveContents) {
   Rng rng(1201);
   const auto inst = gen::uniform(3, 12, rng);
@@ -304,56 +280,6 @@ TEST(WidthAgreement, DiffBatteryPassesOnBothWidths) {
                                       : result.mismatches.front().to_json());
     EXPECT_GT(result.checks, 0);
   }
-}
-
-// ------------------------------------------------------------ SIMD kernels --
-
-TEST(SimdKernels, FirstOfPairMatchesScalarExhaustively) {
-  Rng rng(1205);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t len = 1 + rng.below(70);
-    std::vector<Index> row(len);
-    for (auto& v : row) v = static_cast<Index>(rng.below(40));
-    const auto a = static_cast<Index>(rng.below(40));
-    const auto b = static_cast<Index>(rng.below(40));
-    const std::size_t expected =
-        gs::simd::first_of_pair_scalar(row.data(), len, a, b);
-    EXPECT_EQ(gs::simd::first_of_pair(row.data(), len, a, b), expected)
-        << "trial=" << trial << " len=" << len;
-#if KSTABLE_SIMD_X86
-    if (gs::simd::isa_supported(gs::simd::Isa::sse2)) {
-      EXPECT_EQ(gs::simd::first_of_pair_sse2(row.data(), len, a, b), expected);
-    }
-    if (gs::simd::isa_supported(gs::simd::Isa::avx2)) {
-      EXPECT_EQ(gs::simd::first_of_pair_avx2(row.data(), len, a, b), expected);
-    }
-#endif
-  }
-}
-
-TEST(SimdKernels, ArgminMatchesScalarOnBothWidths) {
-  Rng rng(1206);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t len = 1 + rng.below(100);
-    std::vector<std::uint16_t> r16(len);
-    std::vector<std::uint32_t> r32(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      r16[i] = static_cast<std::uint16_t>(rng.below(30));  // ties guaranteed
-      r32[i] = static_cast<std::uint32_t>(rng.below(30));
-    }
-    EXPECT_EQ(gs::simd::argmin_u16(r16.data(), len),
-              gs::simd::argmin_scalar(r16.data(), len))
-        << "trial=" << trial << " len=" << len;
-    EXPECT_EQ(gs::simd::argmin_u32(r32.data(), len),
-              gs::simd::argmin_scalar(r32.data(), len))
-        << "trial=" << trial << " len=" << len;
-  }
-}
-
-TEST(SimdKernels, DispatchReportsASupportedIsa) {
-  const auto isa = gs::simd::best_isa();
-  EXPECT_TRUE(gs::simd::isa_supported(isa));
-  EXPECT_STRNE(gs::simd::to_string(isa), "unknown");
 }
 
 }  // namespace

@@ -61,9 +61,7 @@ struct Flavour {
 
 using Flavours = ::testing::Types<
     Flavour<StackSchedule, RankAccept>, Flavour<StackSchedule, ScanAccept>,
-    Flavour<StackSchedule, SimdScanAccept>,
-    Flavour<RoundsSchedule, RankAccept>, Flavour<RoundsSchedule, ScanAccept>,
-    Flavour<RoundsSchedule, SimdScanAccept>>;
+    Flavour<RoundsSchedule, RankAccept>, Flavour<RoundsSchedule, ScanAccept>>;
 
 struct FlavourNames {
   template <typename F>
@@ -71,10 +69,8 @@ struct FlavourNames {
     std::string name = F::Schedule::kRounds ? "Rounds" : "Stack";
     if constexpr (std::is_same_v<typename F::Accept, RankAccept>) {
       return name + "Rank";
-    } else if constexpr (std::is_same_v<typename F::Accept, ScanAccept>) {
-      return name + "Scan";
     } else {
-      return name + "SimdScan";
+      return name + "Scan";
     }
   }
 };

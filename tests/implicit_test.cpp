@@ -182,7 +182,6 @@ TEST(ImplicitEngines, AllEnginesMatchMaterializedBitwise) {
           // Every engine on the implicit backend...
           expect_same(gs::gale_shapley_rounds(inst, i, j));
           expect_same(gs::gale_shapley_scan(inst, i, j));
-          expect_same(gs::gale_shapley_scan_simd(inst, i, j));
           // ...and the queue engine on both explicit widths.
           expect_same(gs::gale_shapley_queue(wide, i, j));
           expect_same(gs::gale_shapley_queue(narrow, i, j));
