@@ -180,7 +180,7 @@ void report() {
 
   // Cache ablation: sweeping all k^(k-2) binding trees re-solves the same
   // oriented edges over and over — GS confluence makes each per-edge result a
-  // pure function of (instance, oriented edge, engine), so core::GsEdgeCache
+  // pure function of (instance, oriented edge), so core::GsEdgeCache
   // collapses the sweep to at most k(k-1) fresh GS runs. executed_proposals
   // counts fresh work only; total_proposals keeps the Theorem 3 semantic sum
   // either way.
@@ -282,7 +282,7 @@ void report() {
 // Registered twins of the report's cache ablation so BENCH_e15.json records
 // the numbers: range(0) = 1 with cache, 0 without.
 void bm_multi_tree_sweep(benchmark::State& state) {
-  const bool use_cache = state.range(0) != 0;
+  const bool with_cache = state.range(0) != 0;
   const Gender k = 5;
   Rng rng(7309);
   const auto inst = gen::uniform(k, 64, rng);
@@ -290,7 +290,7 @@ void bm_multi_tree_sweep(benchmark::State& state) {
   for (auto _ : state) {
     core::GsEdgeCache cache(k);
     core::BindingOptions options;
-    if (use_cache) options.cache = &cache;
+    if (with_cache) options.cache = &cache;
     std::int64_t acc = 0;
     prufer::enumerate_trees(k, [&](const BindingStructure& tree) {
       const auto result = core::iterative_binding(inst, tree, options);
@@ -306,7 +306,7 @@ void bm_multi_tree_sweep(benchmark::State& state) {
 BENCHMARK(bm_multi_tree_sweep)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void bm_ladder_with_faults(benchmark::State& state) {
-  const bool use_cache = state.range(0) != 0;
+  const bool with_cache = state.range(0) != 0;
   const Gender k = 5;
   Rng rng(7411);
   const auto inst = gen::uniform(k, 64, rng);
@@ -319,7 +319,7 @@ void bm_ladder_with_faults(benchmark::State& state) {
     core::GsEdgeCache cache(k);
     resilience::FallbackOptions ladder;
     ladder.max_tree_attempts = 4;
-    if (use_cache) ladder.cache = &cache;
+    if (with_cache) ladder.cache = &cache;
     resilience::ScopedFault fault("core/binding_edge", config);
     const auto report = resilience::solve_with_fallback(inst, ladder);
     executed = report.executed_proposals;

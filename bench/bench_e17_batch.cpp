@@ -45,7 +45,7 @@ void report() {
   const auto hw = std::max(1u, std::thread::hardware_concurrency());
 
   TableWriter table("Batch throughput, 64 uniform instances (k=5, n=64), "
-                    "path tree, queue engine",
+                    "path tree, rounds schedule",
                     {"threads", "wall ms", "instances/sec", "ok items"});
   std::vector<std::size_t> thread_counts{1, 2, 4};
   if (hw != 1 && hw != 2 && hw != 4) thread_counts.push_back(hw);

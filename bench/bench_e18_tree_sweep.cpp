@@ -36,11 +36,11 @@ struct SweepRun {
 };
 
 SweepRun run_sweep(const KPartiteInstance& inst, ThreadPool* pool,
-                   bool use_cache) {
+                   bool with_cache) {
   core::TreeSweepOptions options;
   options.pool = pool;
   SweepRun run;
-  if (!use_cache) {
+  if (!with_cache) {
     run.result = core::sweep_all_trees(inst, options);
     return run;
   }
@@ -103,23 +103,23 @@ void report() {
       {"cache", "executed proposals", "fresh GS runs", "duplicate runs",
        "cache hits", "sf waits", "identical"});
   std::int64_t single_flight_duplicates = -1;
-  for (const bool use_cache : {false, true}) {
+  for (const bool with_cache : {false, true}) {
     ThreadPool pool(8);
-    const SweepRun run = run_sweep(inst, &pool, use_cache);
+    const SweepRun run = run_sweep(inst, &pool, with_cache);
     const bool identical =
         run.result.best_index == reference.result.best_index &&
         run.result.matching() == reference.result.matching();
     all_identical = all_identical && identical;
-    const char* name = use_cache ? "on (single-flight)" : "off";
+    const char* name = with_cache ? "on (single-flight)" : "off";
     // Fresh GS runs with the cache off: every edge of every tree.
-    const double fresh = use_cache
+    const double fresh = with_cache
                              ? static_cast<double>(run.cache_stats.misses)
                              : static_cast<double>(tree_count * (k - 1));
     const std::int64_t duplicates =
-        use_cache ? run.cache_stats.misses -
+        with_cache ? run.cache_stats.misses -
                         static_cast<std::int64_t>(run.cache_entries)
                   : 0;
-    if (use_cache) single_flight_duplicates = duplicates;
+    if (with_cache) single_flight_duplicates = duplicates;
     ablation.add_row(
         {std::string(name),
          static_cast<double>(run.result.stats.executed_proposals), fresh,

@@ -131,7 +131,7 @@ else
   else
     note_failure "stats JSON failed schema/proposal validation"
   fi
-  if grep -q "kstable_solve_proposals{engine=\"binding.queue\"} $proposals" \
+  if grep -q "kstable_solve_proposals{engine=\"binding\"} $proposals" \
       "$PROM"; then
     echo "ok: Prometheus export carries the solve telemetry"
   else
@@ -139,8 +139,8 @@ else
   fi
   # Registry counters exist only when the library was built with metrics on
   # (the default); a -DKSTABLE_METRICS=OFF build exports an empty registry.
-  if grep -q '"gs.queue.proposals"' "$STATS"; then
-    if grep -q "kstable_gs_queue_proposals_total" "$PROM"; then
+  if grep -q '"gs.rounds.proposals"' "$STATS"; then
+    if grep -q "kstable_gs_rounds_proposals_total" "$PROM"; then
       echo "ok: Prometheus export carries the registry counters"
     else
       note_failure "registry counters in JSON but missing from Prometheus"

@@ -38,11 +38,15 @@ for b in build/bench/bench_*; do
   json="BENCH_${exp}.json"
   # The time-ratio gates of E19 and E21 compare per-name medians of five
   # repetitions (scripts/compare_bench.py); one run of a 4 ms benchmark
-  # moves its ratio by more than the tolerance.
+  # moves its ratio by more than the tolerance. Random interleaving runs the
+  # repetitions of both sides of each ratio alternately instead of minutes
+  # apart, so drift of the machine between them cancels out of the ratio.
   reps=1
-  case "$exp" in e19|e21) reps=5 ;; esac
+  interleave=false
+  case "$exp" in e19|e21) reps=5 interleave=true ;; esac
   echo "== $b ==" | tee -a bench_output.txt.partial
   "$b" --benchmark_repetitions="$reps" \
+    --benchmark_enable_random_interleaving="$interleave" \
     --benchmark_out="${json}.partial" --benchmark_out_format=json \
     2>&1 | tee -a bench_output.txt.partial
   mv "${json}.partial" "$json"

@@ -33,10 +33,9 @@ std::vector<BatchItemResult> BatchSolver::solve(
     GsEdgeCache cache(inst.genders());
 
     BindingOptions bopts;
-    bopts.engine = options.engine;
     bopts.control = &control;
     bopts.workspace = &workspace;
-    bopts.cache = options.use_cache ? &cache : nullptr;
+    bopts.cache = &cache;
     WallTimer item_timer;
     try {
       BindingResult result = [&] {
@@ -48,7 +47,6 @@ std::vector<BatchItemResult> BatchSolver::solve(
             // it run sequentially even with the pool attached — exactly the
             // oversubscription behavior the tree_sweep tests pin down.
             TreeSweepOptions sopts;
-            sopts.engine = options.engine;
             sopts.pool = &pool_;
             sopts.cache = bopts.cache;
             sopts.control = bopts.control;
@@ -71,13 +69,11 @@ std::vector<BatchItemResult> BatchSolver::solve(
       out.telemetry.executed_proposals = control.spent();
       KSTABLE_COUNTER_ADD("batch.items_aborted", 1);
     }
-    if (options.use_cache) {
-      // The per-item cache is fresh, so its stats cover the whole item —
-      // including cost-aware probe replays and edges solved before an abort.
-      const auto stats = cache.stats();
-      out.cache_hits = stats.hits;
-      out.cache_misses = stats.misses;
-    }
+    // The per-item cache is fresh, so its stats cover the whole item —
+    // including cost-aware probe replays and edges solved before an abort.
+    const auto stats = cache.stats();
+    out.cache_hits = stats.hits;
+    out.cache_misses = stats.misses;
     obs::SolveTelemetry& t = out.telemetry;
     t.engine = "batch.item";
     t.genders = inst.genders();

@@ -28,8 +28,8 @@ namespace kstable::core {
 /// How each item's binding tree is chosen.
 enum class BatchTree : std::uint8_t {
   path,        ///< trees::path(k) — the library default, no probe overhead
-  cost_aware,  ///< probe all pairs, bind the min-cost tree; with the per-item
-               ///< cache on, the tree's edges replay from the probes for free
+  cost_aware,  ///< probe all pairs, bind the min-cost tree; the tree's edges
+               ///< replay from the per-item cache's probes for free
   sweep_best   ///< sweep_all_trees best_cost fold: the exact argmin over all
                ///< k^(k-2) trees (small k only). Runs inside a pool worker,
                ///< so TreeSweep's nested-pool guard keeps each item's sweep
@@ -37,8 +37,6 @@ enum class BatchTree : std::uint8_t {
 };
 
 struct BatchOptions {
-  /// Per-edge GS engine of every item; items run in parallel across the pool.
-  GsEngine engine = GsEngine::queue;
   BatchTree tree = BatchTree::path;
   /// Budget applied to every item (each gets a fresh ExecControl), unless
   /// overridden per item below. Default: unlimited.
@@ -47,10 +45,6 @@ struct BatchOptions {
   std::vector<resilience::Budget> per_item_budgets;
   /// Shared across all items: cancelling aborts every unfinished item.
   resilience::CancellationToken token{};
-  /// Attach a per-item GsEdgeCache. Pays off whenever an item solves the
-  /// same edge twice (BatchTree::cost_aware probes then binds); pure
-  /// single-tree path solves see only compulsory misses.
-  bool use_cache = true;
 };
 
 /// Outcome of one batch item.
@@ -62,7 +56,8 @@ struct BatchItemResult {
   std::optional<KaryMatching> matching;
   /// Theorem 3's unit for the item's solve (0 if aborted before any edge).
   std::int64_t total_proposals = 0;
-  /// Per-item edge-cache outcomes (0/0 with use_cache off).
+  /// Per-item edge-cache outcomes. Pure single-tree path solves see only
+  /// compulsory misses; cost-aware items hit on the probed edges.
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
   /// Per-item record (engine "batch.item"); aborted items carry the abort

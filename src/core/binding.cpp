@@ -11,8 +11,8 @@ namespace kstable::core {
 
 namespace {
 
-/// Runs the selected engine, no cache involvement.
-gs::GsResult run_engine(const KPartiteInstance& inst, GenderEdge edge,
+/// Runs GS on the rounds schedule, no cache involvement.
+gs::GsResult solve_cold(const KPartiteInstance& inst, GenderEdge edge,
                         const BindingOptions& options) {
   gs::GsOptions gs_options;
   gs_options.control = options.control;
@@ -21,33 +21,17 @@ gs::GsResult run_engine(const KPartiteInstance& inst, GenderEdge edge,
   gs::GsWorkspace& workspace =
       options.workspace != nullptr ? *options.workspace : local;
   gs::GsResult result;
-  if (options.engine == GsEngine::rounds) {
-    gs::gale_shapley_rounds(inst, edge.a, edge.b, gs_options, workspace,
-                            result);
-  } else {
-    gs::gale_shapley_queue(inst, edge.a, edge.b, gs_options, workspace,
-                           result);
-  }
+  gs::gale_shapley_rounds(inst, edge.a, edge.b, gs_options, workspace, result);
   return result;
 }
 
-/// Static-lifetime telemetry label for a binding driven by `engine`.
-const char* binding_engine_label(GsEngine engine) {
-  switch (engine) {
-    case GsEngine::queue: return "binding.queue";
-    case GsEngine::rounds: return "binding.rounds";
-  }
-  return "binding";
-}
-
 /// Fills the result's telemetry from its already-populated counters. The
-/// `engine` label override (nullptr = derive from options.engine) lets the
-/// higher drivers (Algorithm 2, parallel executor, ladder) re-label the same
-/// record shape.
+/// `engine` label (nullptr = "binding") lets the higher drivers (Algorithm 2,
+/// parallel executor, ladder) re-label the same record shape.
 void finish_telemetry(BindingResult& result, const KPartiteInstance& inst,
                       const BindingOptions& options, const char* engine) {
   obs::SolveTelemetry& t = result.telemetry;
-  t.engine = engine != nullptr ? engine : binding_engine_label(options.engine);
+  t.engine = engine != nullptr ? engine : "binding";
   t.genders = inst.genders();
   t.size = inst.per_gender();
   t.wall_ms = result.status.wall_ms;
@@ -71,14 +55,14 @@ gs::GsResult run_binding(const KPartiteInstance& inst, GenderEdge edge,
                          const BindingOptions& options, bool* cache_hit) {
   if (cache_hit != nullptr) *cache_hit = false;
   // Warm-or-cold compute: the warm-start provider (if any) gets first
-  // refusal; a nullopt answer falls through to the selected cold engine.
+  // refusal; a nullopt answer falls through to a cold solve.
   const auto compute = [&]() -> gs::GsResult {
     if (options.warm_start != nullptr) {
       if (auto warm = options.warm_start->warm_solve(inst, edge, options)) {
         return std::move(*warm);
       }
     }
-    return run_engine(inst, edge, options);
+    return solve_cold(inst, edge, options);
   };
   if (options.cache == nullptr) return compute();
   KSTABLE_REQUIRE(options.cache->genders() == inst.genders(),
@@ -91,8 +75,8 @@ gs::GsResult run_binding(const KPartiteInstance& inst, GenderEdge edge,
   options.cache->check_instance(inst);
   // Single-flight lookup: under a concurrent sweep, N workers missing the
   // same oriented edge run GS once and share the published result.
-  return options.cache->get_or_compute(edge, options.engine, compute,
-                                       options.control, cache_hit);
+  return options.cache->get_or_compute(edge, compute, options.control,
+                                       cache_hit);
 }
 
 BindingResult bind_structure(const KPartiteInstance& inst,

@@ -12,7 +12,6 @@
 // matching is generally unstable.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -28,38 +27,18 @@
 
 namespace kstable::core {
 
-/// Which Gale-Shapley schedule runs each binary binding (gs/propose_loop.hpp):
-/// the textbook free stack or the paper's §II.A rounds. Both are sequential
-/// and reach the same matching with the same proposal count.
-enum class GsEngine { queue, rounds };
-
-/// Number of GsEngine values. Keep NEXT TO the enum and update together when
-/// adding an engine: GsEdgeCache sizes its slot table from this and
-/// static_asserts against its own compiled-in constant, so a third engine
-/// cannot silently alias cache slots.
-inline constexpr std::size_t kGsEngineCount = 2;
-
-/// Static-lifetime display/metrics label of an engine.
-[[nodiscard]] constexpr const char* to_string(GsEngine engine) noexcept {
-  switch (engine) {
-    case GsEngine::queue: return "queue";
-    case GsEngine::rounds: return "rounds";
-  }
-  return "unknown";
-}
-
 class GsEdgeCache;  // core/gs_cache.hpp
 struct BindingOptions;
 
 /// Warm-start hook for incremental re-stabilization (src/incremental/,
 /// docs/INCREMENTAL.md). When BindingOptions::warm_start is attached,
-/// run_binding asks the provider for each oriented edge BEFORE running the
-/// selected engine cold: the provider may return a complete GsResult derived
-/// from a previous solve (an untouched edge's old result reused verbatim, or
+/// run_binding asks the provider for each oriented edge BEFORE running GS
+/// cold: the provider may return a complete GsResult derived from a
+/// previous solve (an untouched edge's old result reused verbatim, or
 /// a warm GS continuation re-enqueueing only the proposers a preference
-/// delta dirtied), or nullopt to fall back to the cold engine. Contract: a
-/// returned result must be bitwise-identical (match arrays) to what the cold
-/// engine would produce on `inst` — GS confluence makes the warm
+/// delta dirtied), or nullopt to fall back to a cold solve. Contract: a
+/// returned result must be bitwise-identical (match arrays) to what a cold
+/// solve would produce on `inst` — GS confluence makes the warm
 /// continuation satisfy this, and the DiffRunner churn battery pins it. The
 /// provider must be safe to call concurrently (TreeSweep workers share one
 /// BindingOptions); implementations are const and use atomic counters.
@@ -71,8 +50,10 @@ class WarmStartProvider {
       const BindingOptions& options) const = 0;
 };
 
+/// Every per-edge GS run uses the paper's §II.A rounds schedule
+/// (gs::gale_shapley_rounds). GS is confluent, so any schedule would reach
+/// the same proposer-optimal matching with the same proposal count.
 struct BindingOptions {
-  GsEngine engine = GsEngine::queue;
   /// Optional pool for drivers that fan independent per-edge solves out
   /// (probe_all_pairs); each GS run itself stays sequential.
   ThreadPool* pool = nullptr;
@@ -86,7 +67,7 @@ struct BindingOptions {
   /// for free. Semantically invisible: matchings are bitwise-identical with
   /// and without a cache.
   GsEdgeCache* cache = nullptr;
-  /// Optional scratch buffers for the engines (gs::GsWorkspace); a warm
+  /// Optional scratch buffers for GS (gs::GsWorkspace); a warm
   /// workspace makes every per-edge GS run allocation-free. Owned by the
   /// calling thread.
   gs::GsWorkspace* workspace = nullptr;
@@ -94,7 +75,7 @@ struct BindingOptions {
   /// only). Cache hits replay no events — only freshly computed edges trace.
   std::vector<gs::ProposalEvent>* trace = nullptr;
   /// Optional warm-start provider (incremental::DeltaWarmStart): consulted
-  /// per edge before the cold engine, composing with the cache (a cache hit
+  /// per edge before the cold solve, composing with the cache (a cache hit
   /// still wins; on a miss the provider's result is what gets published).
   const WarmStartProvider* warm_start = nullptr;
 };
@@ -133,8 +114,8 @@ struct BindingResult {
   }
 };
 
-/// Runs one binary binding GS(edge.a proposes, edge.b responds) with the
-/// selected engine. With options.cache attached, a memoized result is
+/// Runs one binary binding GS(edge.a proposes, edge.b responds) on the
+/// rounds schedule. With options.cache attached, a memoized result is
 /// returned without re-running GS; `cache_hit` (if non-null) reports whether
 /// that happened.
 gs::GsResult run_binding(const KPartiteInstance& inst, GenderEdge edge,

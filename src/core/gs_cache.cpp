@@ -21,7 +21,7 @@ constexpr std::chrono::milliseconds kWaiterPollInterval{20};
 GsEdgeCache::GsEdgeCache(Gender k)
     : k_(k),
       slots_(static_cast<std::size_t>(k >= 2 ? k : 0) *
-             static_cast<std::size_t>(k >= 2 ? k : 0) * kEngineCount) {
+             static_cast<std::size_t>(k >= 2 ? k : 0)) {
   KSTABLE_REQUIRE(k >= 2, "GsEdgeCache needs k >= 2, got " << k);
 }
 
@@ -45,10 +45,8 @@ void GsEdgeCache::check_instance(const KPartiteInstance& inst) const {
 }
 
 std::size_t GsEdgeCache::invalidate(GenderEdge edge) {
-  // slot() re-validates the edge; the engine loop below walks the
-  // kEngineCount consecutive slots of that oriented pair.
-  const std::size_t base = slot(edge, GsEngine::queue);
-  return reset_slots(base, base + kEngineCount);
+  const std::size_t s = slot(edge);
+  return reset_slots(s, s + 1);
 }
 
 std::size_t GsEdgeCache::reset_slots(std::size_t begin, std::size_t end) {
@@ -72,29 +70,19 @@ void GsEdgeCache::rebind(const KPartiteInstance& inst) {
   bound_generation_ = inst.generation();
 }
 
-std::size_t GsEdgeCache::slot(GenderEdge edge, GsEngine engine) const {
+std::size_t GsEdgeCache::slot(GenderEdge edge) const {
   KSTABLE_REQUIRE(edge.a >= 0 && edge.a < k_ && edge.b >= 0 && edge.b < k_ &&
                       edge.a != edge.b,
                   "edge (" << edge.a << ',' << edge.b
                            << ") out of range for k=" << k_);
-  // Contract-checked (not just asserted): an out-of-enum engine value would
-  // index another key's slot and silently serve the wrong matching.
-  const auto e = static_cast<std::size_t>(engine);
-  KSTABLE_REQUIRE(e < kEngineCount,
-                  "GsEngine value " << e << " out of range (have "
-                                    << kEngineCount << " engines)");
-  return (static_cast<std::size_t>(edge.a) * static_cast<std::size_t>(k_) +
-          static_cast<std::size_t>(edge.b)) *
-             kEngineCount +
-         e;
+  return static_cast<std::size_t>(edge.a) * static_cast<std::size_t>(k_) +
+         static_cast<std::size_t>(edge.b);
 }
 
 const gs::GsResult& GsEdgeCache::get_or_compute(
-    GenderEdge edge, GsEngine engine,
-    const std::function<gs::GsResult()>& compute,
+    GenderEdge edge, const std::function<gs::GsResult()>& compute,
     resilience::ExecControl* control, bool* hit) {
-  const std::size_t s = slot(edge, engine);
-  Slot& entry = slots_[s];
+  Slot& entry = slots_[slot(edge)];
 
   // Lock-free fast path — the overwhelmingly common case once a sweep has
   // warmed the k(k-1) keys.

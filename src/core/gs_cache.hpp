@@ -2,9 +2,8 @@
 //
 // Every spanning binding tree over k genders draws its edges from the same
 // k(k-1)/2 gender-pair set (2·C(k,2) = k(k-1) oriented edges), and a per-edge
-// GsResult is a pure function of (instance, oriented edge, engine): the
-// engines are deterministic and GS is confluent, so every engine reproduces
-// the same matching bit for bit. Multi-tree drivers —
+// GsResult is a pure function of (instance, oriented edge): every driver runs
+// the same deterministic rounds schedule. Multi-tree drivers —
 // tree_selection probes, the E15 ablation sweep, the TreeSweep engine,
 // solve_with_fallback's retry ladder — therefore recompute identical
 // matchings over and over. Memoizing them collapses O(#trees·(k-1)) GS runs
@@ -13,8 +12,9 @@
 // (property-tested over all k^(k-2) trees).
 //
 // Key and invalidation rules (docs/INCREMENTAL.md):
-//   * The key is (proposer gender, responder gender, engine). Orientation
-//     matters — GS(a, b) is proposer-optimal for a, GS(b, a) for b.
+//   * The key is the oriented edge (proposer gender, responder gender), one
+//     slot each. Orientation matters — GS(a, b) is proposer-optimal for a,
+//     GS(b, a) for b.
 //   * A cache is bound to ONE KPartiteInstance. It holds no reference to the
 //     instance; the caller guarantees the pairing (new instance => new
 //     cache). The instance-bound constructor additionally records the
@@ -29,7 +29,7 @@
 //     the oriented edges the delta touched (both orientations of every
 //     changed (observer gender, target gender) pair) and then rebind() to
 //     the instance's new generation. invalidate() resets only that edge's
-//     kEngineCount slots, so untouched edges keep replaying for free — the
+//     slot, so untouched edges keep replaying for free — the
 //     targeted-invalidation half of incremental::rematch().
 //
 // Concurrency design (the TreeSweep fan-out hammers one cache from every
@@ -39,8 +39,8 @@
 //     overwritten, so a ready slot is readable lock-free (acquire load) and
 //     entry addresses are stable for the cache's lifetime.
 //   * State changes take one mutex. The table holds at most k(k-1)
-//     oriented edges per engine and GS runs outside the lock, so every
-//     critical section is an O(1) state change.
+//     oriented edges and GS runs outside the lock, so every critical section
+//     is an O(1) state change.
 //   * Misses resolve **single-flight**: the first thread to claim an empty
 //     slot computes; later threads missing the same key block on the
 //     condition variable until the leader publishes, then read the leader's
@@ -72,19 +72,6 @@ namespace kstable::core {
 
 class GsEdgeCache {
  public:
-  /// Number of distinct GsEngine values the slot table is sized for. Tied to
-  /// the enum's sentinel: adding a GsEngine without growing this constant is
-  /// a compile error, not a silent slot-aliasing bug.
-  static constexpr std::size_t kEngineCount = kGsEngineCount;
-  static_assert(kEngineCount == kGsEngineCount,
-                "GsEdgeCache slot table must cover every GsEngine value; "
-                "update kGsEngineCount (core/binding.hpp) and kEngineCount "
-                "together when adding an engine");
-  static_assert(static_cast<std::size_t>(GsEngine::rounds) ==
-                    kGsEngineCount - 1,
-                "kGsEngineCount is out of sync with the last GsEngine "
-                "enumerator");
-
   /// Creates an empty cache for instances with `k` genders. The staleness
   /// guard is OFF: the caller owns the instance/cache pairing (legacy
   /// construction sites, and tests that drive the slot machinery directly).
@@ -102,8 +89,8 @@ class GsEdgeCache {
   /// every cached edge lookup.
   void check_instance(const KPartiteInstance& inst) const;
 
-  /// Targeted invalidation: resets the kEngineCount slots of ONE oriented
-  /// edge back to empty and returns how many of them held a ready result.
+  /// Targeted invalidation: resets the slot of ONE oriented edge back to
+  /// empty and returns 1 if it held a ready result, else 0.
   /// Requires external quiescence exactly like clear(); entry pointers for
   /// the edge dangle afterwards. A preference delta on rows between genders
   /// a and b must invalidate BOTH orientations (a,b) and (b,a) — responder
@@ -132,8 +119,7 @@ class GsEdgeCache {
   /// resets and one waiter takes over the compute. The returned reference is
   /// stable for the cache's lifetime.
   const gs::GsResult& get_or_compute(
-      GenderEdge edge, GsEngine engine,
-      const std::function<gs::GsResult()>& compute,
+      GenderEdge edge, const std::function<gs::GsResult()>& compute,
       resilience::ExecControl* control = nullptr, bool* hit = nullptr);
 
   struct Stats {
@@ -161,7 +147,7 @@ class GsEdgeCache {
 
   [[nodiscard]] Gender genders() const noexcept { return k_; }
 
-  /// Entries currently stored (distinct (edge, engine) keys).
+  /// Entries currently stored (distinct oriented edges, at most k(k-1)).
   [[nodiscard]] std::size_t size() const;
 
  private:
@@ -178,7 +164,7 @@ class GsEdgeCache {
     std::optional<gs::GsResult> value;
   };
 
-  [[nodiscard]] std::size_t slot(GenderEdge edge, GsEngine engine) const;
+  [[nodiscard]] std::size_t slot(GenderEdge edge) const;
   /// Resets slots [begin, end) to empty; returns how many were ready.
   std::size_t reset_slots(std::size_t begin, std::size_t end);
 

@@ -49,7 +49,6 @@ void evaluate_tree(const KPartiteInstance& inst, std::int64_t index,
   const BindingStructure tree = provider(index);
 
   BindingOptions bopts;
-  bopts.engine = opt.engine;
   bopts.control = opt.control;
   bopts.cache = opt.cache;
   bopts.warm_start = opt.warm_start;

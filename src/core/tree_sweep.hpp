@@ -10,7 +10,7 @@
 // thread_local GsWorkspaces, and reduces through a fold.
 //
 // Determinism contract: the sweep's outcome is a pure function of
-// (instance, candidate set, fold, engine) — it does NOT depend on thread
+// (instance, candidate set, fold) — it does NOT depend on thread
 // count, claim order, or which worker evaluated which tree. The winner is
 // the argmin of (bound-pair cost, tree index) lexicographically; per-worker
 // partial folds are merged by the same total order, so any partition of the
@@ -52,11 +52,9 @@ enum class SweepFold {
 };
 
 struct TreeSweepOptions {
-  /// Per-edge GS engine. TreeSweep spends its parallelism across trees, not
-  /// inside one edge.
-  GsEngine engine = GsEngine::queue;
-  /// Workers to sweep on; nullptr = sequential. Ignored (sequential
-  /// fallback) when the caller is itself a pool worker — see header notes.
+  /// Workers to sweep on (parallelism is across trees, never inside one
+  /// edge); nullptr = sequential. Ignored (sequential fallback) when the
+  /// caller is itself a pool worker — see header notes.
   ThreadPool* pool = nullptr;
   /// Shared per-instance edge memo. Strongly recommended for parallel
   /// sweeps: concurrent workers missing the same oriented edge resolve

@@ -7,8 +7,10 @@
 //   * queue engine  — textbook free-stack iteration, O(n²) worst case;
 //   * round engine  — the paper's description: per round, every unengaged
 //                     proposer proposes, every responder keeps the best
-//                     (McVitie-Wilson style rounds).
-// The scan ablations (gs/scan_gs.hpp) and the warm restart
+//                     (McVitie-Wilson style rounds). Every k-ary driver
+//                     (core::run_binding) runs this one.
+// The queue engine is the reference the tests and DiffRunner compare the
+// round engine against. The scan ablations (gs/scan_gs.hpp) and the warm restart
 // (incremental/warm_gs.hpp) run the same kernel. All engines count
 // accumulated proposals, the unit of Theorem 3's (k-1)n² bound.
 #pragma once

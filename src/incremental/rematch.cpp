@@ -89,11 +89,10 @@ RematchReport rematch(const KPartiteInstance& inst,
 
   // Step 2: re-solve, warm where the delta permits.
   core::BindingOptions bopts;
-  bopts.engine = options.engine;
   bopts.control = options.control;
   bopts.cache = options.cache;
-  if (delta.shape_changed || !options.warm_start) {
-    report.cold_fallback = delta.shape_changed;
+  if (delta.shape_changed) {
+    report.cold_fallback = true;
     report.result = core::iterative_binding(inst, tree, bopts);
     return report;
   }

@@ -33,7 +33,7 @@ namespace kstable::incremental {
 /// it was computed. Per oriented edge: an edge the delta does not touch
 /// returns the previous result verbatim (zero proposals executed); a touched
 /// edge runs warm_gale_shapley; an edge absent from the previous result
-/// (different tree) answers nullopt and falls back to the cold engine.
+/// (different tree) answers nullopt and falls back to a cold solve.
 /// Thread-safe: const with atomic counters (TreeSweep workers may share it).
 /// Holds references — `previous` and `delta` must outlive the provider.
 class DeltaWarmStart final : public core::WarmStartProvider {
@@ -67,16 +67,11 @@ class DeltaWarmStart final : public core::WarmStartProvider {
 };
 
 struct RematchOptions {
-  /// Cold-fallback engine (and the engine key cached results publish under).
-  core::GsEngine engine = core::GsEngine::queue;
   resilience::ExecControl* control = nullptr;
   /// Optional edge cache carried across re-stabilizations. rematch() performs
   /// the targeted invalidation + rebind itself; the caller only guarantees
   /// quiescence (no concurrent solve is using the cache during rematch).
   core::GsEdgeCache* cache = nullptr;
-  /// Escape hatch: false forces a cold re-solve (cache still invalidated),
-  /// for A/B measurement of what the warm start buys.
-  bool warm_start = true;
 };
 
 struct RematchReport {

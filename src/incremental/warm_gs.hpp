@@ -24,10 +24,10 @@
 // unmatched (the closure guarantees a clean proposer's partner is clean).
 // Extra conservative dirt is always sound — it only replays more work.
 //
-// The continuation runs the queue algorithm regardless of the engine the
-// previous result came from; by confluence the match arrays equal every
-// engine's cold output (the churn battery pins this bitwise across engines
-// and both rank widths).
+// The continuation runs the stack schedule, although the drivers' cold solves
+// run the rounds schedule; by confluence the match arrays equal every
+// schedule's cold output (the churn battery pins this bitwise against the
+// cold driver and across both rank widths).
 #pragma once
 
 #include "gs/gale_shapley.hpp"

@@ -39,9 +39,9 @@ struct PhaseTiming {
 };
 
 struct SolveTelemetry {
-  /// Static-lifetime engine label: "gs.queue", "gs.rounds",
-  /// "binding.queue", "binding.rounds", "binding.priority", "roommates",
-  /// "ladder", "batch.item".
+  /// Static-lifetime engine label: "gs.queue", "gs.rounds", "binding",
+  /// "binding.priority", "binding.strengthen", "parallel.*", "roommates",
+  /// "ladder", "sweep", "batch.item".
   const char* engine = "";
 
   // Instance shape. For k-partite drivers: genders=k, size=n (members per

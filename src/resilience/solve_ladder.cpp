@@ -1,6 +1,6 @@
 #include "resilience/solve_ladder.hpp"
 
-#include <cmath>
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <utility>
@@ -17,15 +17,9 @@ namespace kstable::resilience {
 
 namespace {
 
-Budget scaled(const Budget& base, double scale) {
-  Budget b = base;
-  if (b.wall_ms > 0.0) b.wall_ms *= scale;
-  if (b.max_proposals > 0) {
-    b.max_proposals =
-        static_cast<std::int64_t>(static_cast<double>(b.max_proposals) * scale);
-  }
-  return b;
-}
+/// Seed of the deterministic candidate-tree stream: attempt 0 is always the
+/// path tree, later attempts draw distinct Prüfer-random trees from it.
+constexpr std::uint64_t kTreeSeed = 0x5eed;
 
 SolveStatus abort_status(const ExecControl& control, const ExecutionAborted& e) {
   return control.aborted_status(e.reason(), e.what());
@@ -35,8 +29,6 @@ SolveStatus abort_status(const ExecControl& control, const ExecutionAborted& e) 
 
 FallbackReport solve_with_fallback(const KPartiteInstance& inst,
                                    const FallbackOptions& options) {
-  KSTABLE_REQUIRE(options.backoff >= 1.0,
-                  "backoff must be >= 1, got " << options.backoff);
   KSTABLE_REQUIRE(options.max_tree_attempts >= 1,
                   "need at least one strict attempt");
   const Gender k = inst.genders();
@@ -84,7 +76,7 @@ FallbackReport solve_with_fallback(const KPartiteInstance& inst,
     }
     return r;
   };
-  Rng tree_rng(options.tree_seed);
+  Rng tree_rng(kTreeSeed);
   // Distinct candidate trees, deduplicated by Prüfer code. cayley_count
   // saturates at INT64_MAX for large k, which is fine as an upper bound.
   // Attempt 0 binds along the path tree (the library default); retries draw
@@ -104,20 +96,18 @@ FallbackReport solve_with_fallback(const KPartiteInstance& inst,
     return tree;
   };
 
-  double scale = 1.0;
   for (std::int32_t attempt = 0; attempt < options.max_tree_attempts;
        ++attempt) {
     auto candidate = next_candidate(attempt);
     if (!candidate.has_value()) break;
     const BindingStructure tree = std::move(*candidate);
 
-    ExecControl control(scaled(options.per_attempt, scale), options.token);
+    ExecControl control(options.per_attempt, options.token);
     AttemptLog log;
     log.rung = Rung::strict_tree;
     log.tree_edges = tree.edges();
     try {
       core::BindingOptions bopts;
-      bopts.engine = options.engine;
       bopts.control = &control;
       bopts.cache = options.cache;
       bopts.warm_start = options.warm_start;
@@ -140,22 +130,15 @@ FallbackReport solve_with_fallback(const KPartiteInstance& inst,
       // A cancellation is a caller decision, not a per-tree failure: stop
       // the whole ladder instead of burning the remaining rungs.
       if (e.reason() == AbortReason::cancelled) return finalize(report);
-      scale *= options.backoff;
     }
   }
 
   if (options.allow_degraded && !options.token.cancelled()) {
-    // Every strict rung failed, so the degraded attempt's budget continues
-    // the escalation: backoff^(failed strict attempts).
-    const double degraded_scale = std::pow(
-        options.backoff, static_cast<double>(report.attempts.size()));
-    ExecControl control(scaled(options.per_attempt, degraded_scale),
-                        options.token);
+    ExecControl control(options.per_attempt, options.token);
     AttemptLog log;
     log.rung = Rung::degraded_priority;
     try {
       core::PriorityBindingOptions popts;
-      popts.binding.engine = options.engine;
       popts.binding.control = &control;
       popts.binding.cache = options.cache;
       popts.binding.warm_start = options.warm_start;

@@ -46,21 +46,13 @@ struct AttemptLog {
 };
 
 struct FallbackOptions {
-  /// Budget for the first attempt; later attempts scale it by backoff.
+  /// Budget of every attempt, strict and degraded alike.
   Budget per_attempt{};
-  /// Per-attempt budget multiplier (>= 1): each retry gets backoff× the
-  /// previous attempt's wall/proposal budget.
-  double backoff = 1.0;
   /// Strict rungs (distinct spanning trees) to try before degrading; capped
   /// by Cayley's k^(k-2) distinct trees.
   std::int32_t max_tree_attempts = 4;
-  /// Seed of the deterministic candidate-tree stream (attempt 0 is always
-  /// the path tree; later attempts draw distinct Prüfer-random trees).
-  std::uint64_t tree_seed = 0x5eed;
   /// Shared across all attempts; cancelling stops the whole ladder.
   CancellationToken token{};
-  /// Engine for the per-edge GS runs (control is owned by the ladder).
-  core::GsEngine engine = core::GsEngine::queue;
   /// Permit the Algorithm 2 last rung. When false the ladder is strict-only.
   bool allow_degraded = true;
   /// Optional per-instance edge cache shared across every rung: candidate
@@ -71,7 +63,7 @@ struct FallbackOptions {
   /// Optional warm-start provider (incremental::DeltaWarmStart), threaded
   /// into every rung's BindingOptions — strict trees and the degraded
   /// Algorithm 2 attempt alike. Edges outside the previous solve's tree fall
-  /// back to the cold engine (the provider answers nullopt), so retry rungs
+  /// back to a cold solve (the provider answers nullopt), so retry rungs
   /// on different trees stay correct.
   const core::WarmStartProvider* warm_start = nullptr;
 };

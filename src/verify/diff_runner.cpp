@@ -533,26 +533,19 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
       }
     }
 
-    {  // Pure-provider path (no cache): every engine's cold fallback must
-       // not matter — reused + warm answers cover the whole tree.
-      for (const auto engine :
-           {core::GsEngine::queue, core::GsEngine::rounds}) {
-        incremental::RematchOptions ropts;
-        ropts.engine = engine;
-        const auto warm = incremental::rematch(inst, path, previous, delta,
-                                               ropts);
-        std::ostringstream os;
-        os << "provider rematch under engine " << core::to_string(engine);
-        compare_matching(cold, warm.result.matching(),
-                         "churn.rematch.engine.bitwise", os.str().c_str());
-        std::ostringstream es;
-        es << "edges reused " << warm.edges_reused << " + warm "
-           << warm.edges_warm << " + cold " << warm.edges_cold
-           << " != " << (k - 1) << " tree edges";
-        rec.check(warm.edges_reused + warm.edges_warm + warm.edges_cold ==
-                      static_cast<std::int64_t>(k) - 1,
-                  "churn.rematch.edge-accounting", es.str());
-      }
+    {  // Pure-provider path (no cache): reused + warm answers must cover the
+       // whole tree without any cold fallback mattering.
+      const auto warm = incremental::rematch(inst, path, previous, delta);
+      compare_matching(cold, warm.result.matching(),
+                       "churn.rematch.provider.bitwise",
+                       "provider rematch without a cache");
+      std::ostringstream es;
+      es << "edges reused " << warm.edges_reused << " + warm "
+         << warm.edges_warm << " + cold " << warm.edges_cold
+         << " != " << (k - 1) << " tree edges";
+      rec.check(warm.edges_reused + warm.edges_warm + warm.edges_cold ==
+                    static_cast<std::int64_t>(k) - 1,
+                "churn.rematch.edge-accounting", es.str());
     }
 
     {  // Width twin: the relaid copy shares the generation, so the same

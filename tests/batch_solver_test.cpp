@@ -136,27 +136,26 @@ TEST(BatchSolver, SharedCancellationAbortsEveryItem) {
   }
 }
 
-TEST(BatchSolver, RoundsEngineAndCacheOffStillCorrect) {
+TEST(BatchSolver, PathItemsSeeOnlyCompulsoryCacheMisses) {
+  // The per-item cache is always attached. A path-tree item binds k-1
+  // distinct oriented edges once each, so its cache records k-1 misses and
+  // no hits, and the matching equals the solo cache-free run.
+  const Gender k = 4;
   std::vector<KPartiteInstance> instances;
   for (int seed = 0; seed < 4; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed) + 99);
-    instances.push_back(gen::uniform(4, 12, rng));
+    instances.push_back(gen::uniform(k, 12, rng));
   }
   ThreadPool pool(2);
   BatchSolver solver(pool);
-  BatchOptions options;
-  options.engine = GsEngine::rounds;
-  options.use_cache = false;
-  const auto results = solver.solve(instances, options);
+  const auto results = solver.solve(instances);
   for (std::size_t i = 0; i < instances.size(); ++i) {
     ASSERT_TRUE(results[i].status.ok());
-    BindingOptions solo_options;
-    solo_options.engine = GsEngine::rounds;
-    const auto solo = iterative_binding(instances[i], trees::path(4),
-                                        solo_options);
+    const auto solo = iterative_binding(instances[i], trees::path(k));
     EXPECT_EQ(*results[i].matching, solo.matching());
+    EXPECT_EQ(results[i].total_proposals, solo.total_proposals);
     EXPECT_EQ(results[i].cache_hits, 0);
-    EXPECT_EQ(results[i].cache_misses, 0);
+    EXPECT_EQ(results[i].cache_misses, k - 1);
   }
 }
 

@@ -10,6 +10,7 @@
 #include "graph/prufer.hpp"
 #include "prefs/examples.hpp"
 #include "prefs/generators.hpp"
+#include "resilience/control.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -96,14 +97,39 @@ TEST(IterativeBinding, AllTreesStableOnSmallInstances) {
   EXPECT_EQ(trees, 16);
 }
 
-TEST(IterativeBinding, EnginesProduceIdenticalMatchings) {
+TEST(IterativeBinding, ProposalBudgetAbortsExactlyPastTheUnguardedTotal) {
+  // The rounds schedule charges its ExecControl once per round, and the
+  // round charges add up to the solve's proposal total T. So the driver
+  // succeeds under a budget of exactly T and aborts under T - 1, on every
+  // tree shape, with the same matching as the unguarded run.
   Rng rng(230);
-  const auto inst = gen::uniform(4, 8, rng);
-  const auto tree = prufer::random_tree(4, rng);
-  const auto queue = iterative_binding(inst, tree, {GsEngine::queue, nullptr});
-  const auto rounds = iterative_binding(inst, tree, {GsEngine::rounds, nullptr});
-  EXPECT_EQ(queue.matching(), rounds.matching());
-  EXPECT_EQ(queue.total_proposals, rounds.total_proposals);
+  for (int trial = 0; trial < 12; ++trial) {
+    const Gender k = 3 + trial % 3;
+    const auto inst = gen::uniform(k, 6 + 5 * (trial % 4), rng);
+    const auto tree = prufer::random_tree(k, rng);
+    const auto unguarded = iterative_binding(inst, tree);
+    const std::int64_t total = unguarded.total_proposals;
+
+    resilience::ExecControl exact(resilience::Budget::proposals(total));
+    BindingOptions options;
+    options.control = &exact;
+    const auto guarded = iterative_binding(inst, tree, options);
+    EXPECT_EQ(guarded.matching(), unguarded.matching()) << "trial " << trial;
+    EXPECT_EQ(exact.spent(), total) << "trial " << trial;
+
+    resilience::ExecControl short_by_one(
+        resilience::Budget::proposals(total - 1));
+    options.control = &short_by_one;
+    try {
+      (void)iterative_binding(inst, tree, options);
+      ADD_FAILURE() << "trial " << trial << ": budget " << total - 1
+                    << " below the total " << total << " did not abort";
+    } catch (const ExecutionAborted& e) {
+      EXPECT_EQ(e.reason(), AbortReason::proposal_budget) << "trial " << trial;
+      // Only the last round's charge can cross T - 1, and it lands on T.
+      EXPECT_EQ(short_by_one.spent(), total) << "trial " << trial;
+    }
+  }
 }
 
 TEST(IterativeBinding, StableMatchingsExistForAllSmallSizes) {

@@ -1,16 +1,15 @@
 // Tests for core::GsEdgeCache: the cache must be semantically invisible —
 // cached and uncached solves produce identical KaryMatchings, proposal
 // counts, and stability verdicts across every spanning binding tree (GS
-// confluence makes each per-edge result a pure function of the instance,
-// the oriented edge, and the engine) — while collapsing multi-tree work to
-// at most k(k-1) fresh GS runs per instance.
+// confluence makes each per-edge result a pure function of the instance and
+// the oriented edge) — while collapsing multi-tree work to at most k(k-1)
+// fresh GS runs per instance, one slot per oriented edge.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "analysis/oracle.hpp"
@@ -30,21 +29,18 @@ namespace {
 
 /// Property sweep: for every Prüfer tree of k genders, a shared cache must
 /// not change anything observable about iterative_binding.
-class CacheTransparencyTest
-    : public ::testing::TestWithParam<std::tuple<Gender, GsEngine>> {};
+class CacheTransparencyTest : public ::testing::TestWithParam<Gender> {};
 
 TEST_P(CacheTransparencyTest, IdenticalAcrossAllPruferTrees) {
-  const auto [k, engine] = GetParam();
+  const Gender k = GetParam();
   const Index n = 5;
   Rng rng(static_cast<std::uint64_t>(k) * 1201 + 17);
   const auto inst = gen::uniform(k, n, rng);
 
   GsEdgeCache cache(k);
   BindingOptions cached_options;
-  cached_options.engine = engine;
   cached_options.cache = &cache;
-  BindingOptions uncached_options;
-  uncached_options.engine = engine;
+  const BindingOptions uncached_options;
 
   std::int64_t trees = 0;
   std::int64_t accumulated_executed_cached = 0;
@@ -69,8 +65,8 @@ TEST_P(CacheTransparencyTest, IdenticalAcrossAllPruferTrees) {
     EXPECT_EQ(uncached.cache_misses, 0);
   });
   EXPECT_EQ(trees, prufer::cayley_count(k));
-  // The cache holds at most k(k-1) oriented edges for this engine, no matter
-  // how many trees were swept.
+  // The cache holds at most k(k-1) oriented edges, no matter how many trees
+  // were swept.
   EXPECT_LE(cache.size(),
             static_cast<std::size_t>(k) * static_cast<std::size_t>(k - 1));
   const auto stats = cache.stats();
@@ -85,15 +81,15 @@ TEST_P(CacheTransparencyTest, IdenticalAcrossAllPruferTrees) {
   EXPECT_LE(accumulated_executed_cached, accumulated_executed_uncached);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, CacheTransparencyTest,
-    ::testing::Combine(::testing::Values(Gender{3}, Gender{4}, Gender{5}),
-                       ::testing::Values(GsEngine::queue, GsEngine::rounds)));
+INSTANTIATE_TEST_SUITE_P(Sweep, CacheTransparencyTest,
+                         ::testing::Values(Gender{3}, Gender{4}, Gender{5}));
 
-TEST(GsEdgeCache, KeyedByOrientationAndEngine) {
+TEST(GsEdgeCache, OneSlotPerOrientedEdge) {
+  const Gender k = 4;
+  const auto edges = static_cast<std::size_t>(k) * (k - 1);
   Rng rng(42);
-  const auto inst = gen::uniform(3, 8, rng);
-  GsEdgeCache cache(3);
+  const auto inst = gen::uniform(k, 8, rng);
+  GsEdgeCache cache(inst);
   BindingOptions options;
   options.cache = &cache;
 
@@ -113,12 +109,28 @@ TEST(GsEdgeCache, KeyedByOrientationAndEngine) {
   EXPECT_TRUE(hit);
   EXPECT_EQ(replay.proposer_match, forward.proposer_match);
 
-  // Same edge, different engine: distinct key (same matching by confluence).
-  options.engine = GsEngine::rounds;
-  const auto rounds = run_binding(inst, {0, 1}, options, &hit);
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(rounds.proposer_match, forward.proposer_match);
+  // Two passes over every oriented edge: the first fills one slot each, the
+  // second is all hits, and the table never grows past k(k-1).
+  for (int pass = 0; pass < 2; ++pass) {
+    for (Gender a = 0; a < k; ++a) {
+      for (Gender b = 0; b < k; ++b) {
+        if (a == b) continue;
+        run_binding(inst, {a, b}, options);
+        EXPECT_LE(cache.size(), edges);
+      }
+    }
+  }
+  EXPECT_EQ(cache.size(), edges);
+  EXPECT_EQ(cache.stats().misses, static_cast<std::int64_t>(edges));
+
+  // invalidate() resets exactly the one slot of a solved edge.
+  EXPECT_EQ(cache.invalidate({2, 3}), 1u);
+  EXPECT_EQ(cache.size(), edges - 1);
+  EXPECT_EQ(cache.invalidate({2, 3}), 0u);
+  EXPECT_EQ(cache.invalidate({3, 2}), 1u);
+  EXPECT_EQ(cache.size(), edges - 2);
+  EXPECT_THROW((void)cache.invalidate({1, 1}), ContractViolation);
+  EXPECT_THROW((void)cache.invalidate({0, k}), ContractViolation);
 }
 
 TEST(GsEdgeCache, GenderCountMismatchThrows) {
@@ -360,7 +372,7 @@ std::vector<int> hammer(GsEdgeCache& cache, Gender k, int threads,
       for (std::size_t i = 0; i < edges.size(); ++i) {
         const GenderEdge edge =
             edges[(i + static_cast<std::size_t>(t)) % edges.size()];
-        const auto& r = cache.get_or_compute(edge, GsEngine::queue, [&] {
+        const auto& r = cache.get_or_compute(edge, [&] {
           computes[static_cast<std::size_t>(edge.a) *
                        static_cast<std::size_t>(k) +
                    static_cast<std::size_t>(edge.b)]
@@ -419,15 +431,14 @@ TEST(GsEdgeCacheConcurrency, LeaderExceptionPromotesNextCaller) {
   struct Boom {};
   // Leader's compute dies: the claim must roll back so the key is not wedged
   // in kComputing forever.
-  EXPECT_THROW(cache.get_or_compute({0, 1}, GsEngine::queue,
+  EXPECT_THROW(cache.get_or_compute({0, 1},
                                     []() -> gs::GsResult { throw Boom{}; }),
                Boom);
   EXPECT_EQ(cache.size(), 0u);
   // The next caller is promoted to leader and computes normally.
   bool hit = true;
   const auto& r = cache.get_or_compute(
-      {0, 1}, GsEngine::queue, [] { return fabricated({0, 1}); }, nullptr,
-      &hit);
+      {0, 1}, [] { return fabricated({0, 1}); }, nullptr, &hit);
   EXPECT_FALSE(hit);
   EXPECT_EQ(r.proposals, 1);
   EXPECT_EQ(cache.size(), 1u);
@@ -438,7 +449,7 @@ TEST(GsEdgeCacheConcurrency, BlockedWaiterHonorsItsOwnDeadline) {
   std::atomic<bool> leader_in{false};
   std::atomic<bool> release{false};
   std::thread leader([&] {
-    cache.get_or_compute({0, 1}, GsEngine::queue, [&] {
+    cache.get_or_compute({0, 1}, [&] {
       leader_in.store(true);
       while (!release.load()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -453,17 +464,15 @@ TEST(GsEdgeCacheConcurrency, BlockedWaiterHonorsItsOwnDeadline) {
   // leader finishes.
   resilience::ExecControl control(resilience::Budget::deadline(1.0));
   EXPECT_THROW(cache.get_or_compute(
-                   {0, 1}, GsEngine::queue, [] { return fabricated({0, 1}); },
-                   &control),
+                   {0, 1}, [] { return fabricated({0, 1}); }, &control),
                ExecutionAborted);
 
   release.store(true);
   leader.join();
   // The leader still published; an unbudgeted lookup now hits.
   bool hit = false;
-  cache.get_or_compute(
-      {0, 1}, GsEngine::queue, [] { return fabricated({0, 1}); }, nullptr,
-      &hit);
+  cache.get_or_compute({0, 1}, [] { return fabricated({0, 1}); }, nullptr,
+                       &hit);
   EXPECT_TRUE(hit);
 }
 

@@ -268,7 +268,9 @@ TEST(Rematch, BitwiseEqualsColdWithTargetedInvalidation) {
   }
 }
 
-TEST(Rematch, WarmStartOffStillInvalidatesAndMatchesCold) {
+TEST(Rematch, RowDeltaWithoutCacheRunsWarmAndMatchesCold) {
+  // A row delta always takes the warm path; without a cache nothing is
+  // invalidated, and every tree edge is either reused or continued warm.
   const Gender k = 3;
   Rng rng(11);
   auto inst = gen::uniform(k, 5, rng);
@@ -276,13 +278,15 @@ TEST(Rematch, WarmStartOffStillInvalidatesAndMatchesCold) {
   const auto previous = core::iterative_binding(inst, tree, {});
 
   const auto delta = random_mutation(inst, rng);
-  RematchOptions options;
-  options.warm_start = false;
-  const auto report = rematch(inst, tree, previous, delta, options);
+  const auto report = rematch(inst, tree, previous, delta);
   const auto cold = core::iterative_binding(inst, tree, {});
   EXPECT_EQ(report.result.matching(), cold.matching());
-  EXPECT_EQ(report.edges_warm, 0);
-  EXPECT_EQ(report.warm_executed_proposals, 0);
+  EXPECT_FALSE(report.cold_fallback);
+  EXPECT_EQ(report.slots_invalidated, 0u);
+  EXPECT_EQ(report.edges_cold, 0);
+  EXPECT_EQ(report.edges_reused + report.edges_warm, k - 1);
+  EXPECT_EQ(report.edges_warm, static_cast<std::int64_t>(
+                                   delta.touches(0, 1) + delta.touches(1, 2)));
 }
 
 TEST(Rematch, ShapeChangeFallsBackToColdSolve) {

@@ -194,7 +194,7 @@ TEST(SolveTelemetry, IterativeBindingAttachesTelemetry) {
   const auto inst = uniform_instance(4, 12, 7);
   const auto result = core::iterative_binding(inst, trees::path(4));
   expect_valid_solved_telemetry(result.telemetry, "iterative_binding");
-  EXPECT_STREQ(result.telemetry.engine, "binding.queue");
+  EXPECT_STREQ(result.telemetry.engine, "binding");
   EXPECT_EQ(result.telemetry.genders, 4);
   EXPECT_EQ(result.telemetry.size, 12);
   EXPECT_EQ(result.telemetry.proposals, result.total_proposals);
@@ -202,12 +202,20 @@ TEST(SolveTelemetry, IterativeBindingAttachesTelemetry) {
   EXPECT_STREQ(result.telemetry.phases[0].name, "bind");
 }
 
-TEST(SolveTelemetry, BindingEngineLabelTracksOptions) {
+TEST(SolveTelemetry, BindingLabelIsStaticAndRoundsCountRealRounds) {
   const auto inst = uniform_instance(3, 10, 9);
   core::BindingOptions options;
-  options.engine = core::GsEngine::rounds;
+  gs::GsWorkspace workspace;
+  options.workspace = &workspace;
   const auto result = core::iterative_binding(inst, trees::path(3), options);
-  EXPECT_STREQ(result.telemetry.engine, "binding.rounds");
+  EXPECT_STREQ(result.telemetry.engine, "binding");
+  // One round lets every free proposer propose once, so a size-10 binding
+  // takes fewer rounds than proposals.
+  std::int64_t rounds = 0;
+  for (const auto& edge : result.edge_results) rounds += edge.rounds;
+  EXPECT_EQ(result.telemetry.rounds, rounds);
+  EXPECT_GE(result.telemetry.rounds, 2);
+  EXPECT_LT(result.telemetry.rounds, result.total_proposals);
 }
 
 TEST(SolveTelemetry, PriorityBindingRelabelsPhases) {

@@ -380,21 +380,6 @@ TEST(FallbackLadder, CancellationStopsTheWholeLadder) {
   EXPECT_EQ(report.status.abort_reason, AbortReason::cancelled);
 }
 
-TEST(FallbackLadder, PerAttemptBudgetsAreScaledByBackoff) {
-  Rng rng(7015);
-  const auto inst = gen::uniform(3, 48, rng);
-  resilience::FallbackOptions options;
-  options.per_attempt = Budget::proposals(4);  // far too small for n=48
-  options.backoff = 100.0;  // second attempt gets 400: plenty
-  options.max_tree_attempts = 2;
-  const auto report = resilience::solve_with_fallback(inst, options);
-  EXPECT_TRUE(report.succeeded);
-  ASSERT_GE(report.attempts.size(), 2u);
-  EXPECT_EQ(report.attempts[0].status.abort_reason,
-            AbortReason::proposal_budget);
-  EXPECT_EQ(report.rung, resilience::Rung::strict_tree);
-}
-
 // --- Error taxonomy --------------------------------------------------------
 
 TEST(Taxonomy, ParseErrorIsAContractViolation) {
